@@ -9,11 +9,15 @@ worker forever.  This module gives every request:
   server maximum).  The decision procedure runs on a detached daemon
   thread; if the deadline passes, the HTTP worker answers a structured
   503 ``timeout`` envelope and is immediately reclaimed for new requests.
-  Pure-Python CPU-bound work cannot be cooperatively cancelled, so the
-  detached thread runs to completion in the background — which is why a
-  bounded **slot semaphore** caps how many computations (live or
-  abandoned) may exist at once; when no slot frees up in time the server
-  answers 503 ``busy`` instead of queueing unboundedly.
+  Pure-Python CPU-bound work cannot be interrupted from outside, so the
+  runner **cancels** the abandoned computation's
+  :class:`~repro.cancellation.CancelToken` and the long loops (the
+  satisfiability word search, the ``/batch`` fan-out) poll it and unwind
+  within a few hundred steps.  Work with no poll point still runs to
+  completion in the background — which is why a bounded **slot
+  semaphore** caps how many computations (live or abandoned) may exist
+  at once; when no slot frees up in time the server answers 503 ``busy``
+  instead of queueing unboundedly.
 * an **input size cap** on request bodies (413 ``payload-too-large``).
 
 All three failure modes surface as :class:`~repro.service.envelope.ServiceError`
@@ -26,6 +30,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from ..cancellation import CancelToken, bind
 from .envelope import ServiceError
 
 
@@ -125,6 +130,11 @@ class DeadlineRunner:
     budget.  :meth:`call` either returns the callable's result, re-raises
     its exception, or raises :class:`DeadlineExceeded` /
     :class:`ServiceBusy`.
+
+    Each call runs with a fresh :class:`~repro.cancellation.CancelToken`
+    bound on its thread.  Detaching a call cancels that token, so a
+    computation that polls it gives its slot back (and ``detached``
+    falls back) shortly after the timeout instead of when it finishes.
     """
 
     def __init__(self, limits: ServiceLimits):
@@ -139,21 +149,24 @@ class DeadlineRunner:
             raise ServiceBusy(self.limits.max_slots)
         box: dict = {}
         done = threading.Event()
-        abandoned = threading.Event()
+        # Cancelling the token is also how the caller marks the call
+        # abandoned: the worker reads it under the lock below.
+        token = CancelToken()
 
         def work() -> None:
+            bind(token)
             try:
                 box["value"] = fn()
             except BaseException as exc:  # propagated to the caller below
                 box["error"] = exc
             finally:
-                # done and abandoned are written/read under one lock so
-                # exactly one side accounts for this thread: either the
-                # caller sees done first and takes the result, or it
-                # abandons first and this worker pays the decrement.
+                # done and the cancellation are written/read under one
+                # lock so exactly one side accounts for this thread:
+                # either the caller sees done first and takes the result,
+                # or it abandons first and this worker pays the decrement.
                 with self._lock:
                     done.set()
-                    if abandoned.is_set():
+                    if token.cancelled:
                         self._detached -= 1
                 self._slots.release()
 
@@ -169,7 +182,7 @@ class DeadlineRunner:
                 if not done.is_set():
                     self._timeouts += 1
                     self._detached += 1
-                    abandoned.set()
+                    token.cancel()
                     timed_out = True
         if timed_out:
             raise DeadlineExceeded(deadline_s)

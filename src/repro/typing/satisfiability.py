@@ -49,6 +49,7 @@ from typing import (
 )
 
 from ..automata.syntax import ANY, Regex, Sym
+from ..cancellation import POLL_EVERY, CancelToken, current_token, raise_if_cancelled
 from ..engine import Engine, get_default_engine
 from ..engine.core import Runner
 from ..query.model import PatternDef, PatternKind, Query
@@ -243,6 +244,9 @@ class _PinnedChecker:
         self._memo: Dict[Tuple, bool] = {}
         self._in_progress: Set[Tuple] = set()
         self._grew = False
+        # Polled by the word search and its placement enumeration: the
+        # loops that run for minutes on the NP-complete cells.
+        self._cancel = current_token()
 
     def _normalize(self, pattern: PatternDef) -> DefSpec:
         arms = []
@@ -430,7 +434,15 @@ class _PinnedChecker:
         dead-state-pruned table, so every offered symbol can still
         complete a content word — the search never wanders into doomed
         word prefixes.
+
+        Polls the caller's cancellation token on entry and every
+        :data:`~repro.cancellation.POLL_EVERY` placements, so an
+        abandoned search unwinds with
+        :class:`~repro.cancellation.Cancelled` instead of running on
+        until the process runs out of memory.
         """
+        cancel = self._cancel
+        raise_if_cancelled(cancel)
         runner = self._type_runner(tid)
         content_start = runner.initial()
         if content_start is None:
@@ -448,6 +460,7 @@ class _PinnedChecker:
         )
         visited: Set[Tuple] = set()
         stack = [start]
+        steps = 0
         while stack:
             state, progress, remaining = stack.pop()
             key = (state, progress, remaining)
@@ -469,6 +482,9 @@ class _PinnedChecker:
                     continue
                 label, child_tid = symbol
                 for advance, riders in self._placements(defs, progress, remaining, label):
+                    steps += 1
+                    if steps % POLL_EVERY == 0:
+                        raise_if_cancelled(cancel)
                     child_reqs: List[Requirement] = []
                     ok = True
                     for spec, arm in advance:
@@ -522,6 +538,10 @@ class _PinnedChecker:
         increase).  Per unordered definition: any subset of its unmatched
         arms.  Plus any subset of the pending requirements.  Only arms and
         requirements whose regex can consume ``label`` are offered.
+
+        The unordered subsets are built eagerly (``itertools.product``
+        needs them all) and number 2^k for k placeable arms — the
+        3SAT-reduction cell — so building them polls for cancellation.
         """
         per_def_options: List[List[List[Tuple[DefSpec, ArmSpec]]]] = []
         for spec, prog in zip(defs, progress):
@@ -544,7 +564,7 @@ class _PinnedChecker:
                     and self._arm_consumes(arm, label)
                     and all(i in prog for i, j in order if j == index)
                 ]
-                for subset in _subsets(placeable):
+                for subset in _subsets(placeable, self._cancel):
                     if not subset:
                         continue
                     chosen = set(subset)
@@ -559,7 +579,7 @@ class _PinnedChecker:
                     for index, arm in enumerate(spec.arms)
                     if index not in prog and self._arm_consumes(arm, label)
                 ]
-                for subset in _subsets(unmatched):
+                for subset in _subsets(unmatched, self._cancel):
                     if subset:
                         options.append([(spec, arm) for arm in subset])
             per_def_options.append(options)
@@ -635,7 +655,20 @@ class _PinnedChecker:
         return frozenset(result)
 
 
-def _subsets(items: Sequence) -> Iterator[Tuple]:
-    """All subsets of ``items`` (small inputs only)."""
+def _subsets(
+    items: Sequence, cancel: Optional[CancelToken] = None
+) -> Iterator[Tuple]:
+    """All subsets of ``items`` (small inputs only).
+
+    With a ``cancel`` token, a list with more than
+    :data:`~repro.cancellation.POLL_EVERY` subsets polls it every
+    ``POLL_EVERY`` subsets; shorter lists are left to the caller's loop.
+    """
+    if cancel is not None and 1 << len(items) > POLL_EVERY:
+        for count, subset in enumerate(_subsets(items), 1):
+            if count % POLL_EVERY == 0:
+                raise_if_cancelled(cancel)
+            yield subset
+        return
     for size in range(len(items) + 1):
         yield from itertools.combinations(items, size)

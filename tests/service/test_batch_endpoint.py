@@ -142,3 +142,26 @@ class TestBatchLimits:
             assert limits["timeouts"] == 1
             # The abandoned batch occupied exactly one computation slot.
             assert limits["detached"] <= 1
+
+    @pytest.mark.parametrize("endpoint", ["batch", "satisfiable"])
+    def test_timed_out_computation_is_cancelled(self, endpoint):
+        """The 503 used to leave the fan-out threads searching the 3SAT
+        reduction until the process ran out of memory; the runner now
+        cancels them, so ``detached`` falls back to 0 within seconds."""
+        formula = random_3sat(8, n_clauses=32, rng=random.Random(3))
+        schema, query = reduce_formula(formula)
+        with TypedQueryService(port=0) as svc, ServiceClient(svc.host, svc.port) as client:
+            fp = client.register_schema(schema_to_string(schema))["fingerprint"]
+            with pytest.raises(ServiceResponseError) as excinfo:
+                if endpoint == "batch":
+                    items = [{"query": query_to_string(query)}] * 4
+                    client.batch(fp, "satisfiable", items, deadline=1.0)
+                else:
+                    client.satisfiable(fp, query_to_string(query), deadline=1.0)
+            assert excinfo.value.code == "timeout"
+            deadline = time.monotonic() + 5
+            while client.stats()["limits"]["detached"] and time.monotonic() < deadline:
+                time.sleep(0.05)
+            limits = client.stats()["limits"]
+            assert limits["timeouts"] == 1
+            assert limits["detached"] == 0

@@ -4,7 +4,8 @@ Covers the pool's contract:
 
 * endpoint parity with the threaded tier (same envelopes, same errors),
 * fingerprint-sticky routing with merged ``/stats`` observability,
-* frontend-local validation (malformed Content-Length, bad JSON), and
+* frontend-local validation (covered for both tiers by the shared
+  framing suite in ``test_content_length.py``), and
 * the crash story: a worker SIGKILLed idle or mid-request yields a
   structured 503 ``worker-crashed`` for the affected request, the worker
   is respawned, and — because respawned workers warm their shard from
@@ -12,10 +13,8 @@ Covers the pool's contract:
   succeeds without re-registering anything.
 """
 
-import json
 import os
 import signal
-import socket
 import threading
 import time
 
@@ -116,46 +115,6 @@ class TestEndpointParity:
         assert status == 405
         assert envelope["error"]["code"] == "method-not-allowed"
 
-    def test_bad_json_body_is_400_at_the_frontend(self, service):
-        with socket.create_connection(
-            (service.host, service.port), timeout=10
-        ) as sock:
-            sock.sendall(
-                b"POST /satisfiable HTTP/1.1\r\nHost: x\r\n"
-                b"Content-Length: 9\r\n\r\nnot json!"
-            )
-            data = _read_response(sock)
-        status, envelope = _parse(data)
-        assert status == 400
-        assert envelope["error"]["code"] == "bad-request"
-
-    def test_malformed_content_length_is_structured_400(self, service):
-        """Same contract as the threaded tier: a framing violation is a
-        structured 400 and the connection closes."""
-        with socket.create_connection(
-            (service.host, service.port), timeout=10
-        ) as sock:
-            sock.sendall(
-                b"POST /satisfiable HTTP/1.1\r\nHost: x\r\n"
-                b"Content-Length: abc\r\n\r\n"
-            )
-            data = _read_response(sock)
-        status, envelope = _parse(data)
-        assert status == 400
-        assert envelope["error"]["code"] == "bad-request"
-
-    def test_negative_content_length_answers_without_hanging(self, service):
-        with socket.create_connection(
-            (service.host, service.port), timeout=10
-        ) as sock:
-            sock.sendall(
-                b"POST /satisfiable HTTP/1.1\r\nHost: x\r\n"
-                b"Content-Length: -5\r\n\r\n"
-            )
-            data = _read_response(sock)
-        status, envelope = _parse(data)
-        assert status == 400
-
 
 class TestWorkerCrash:
     """ISSUE satellite: kill a worker and watch the pool heal itself."""
@@ -218,28 +177,6 @@ class TestWorkerCrash:
         # Health restored: same fingerprint, same client, no re-register.
         assert client.satisfiable(fingerprint, QUERY)["satisfiable"] is True
         assert client.healthz()["alive"] == WORKERS
-
-
-def _read_response(sock: socket.socket) -> bytes:
-    data = b""
-    while True:
-        chunk = sock.recv(65536)
-        if not chunk:
-            break
-        data += chunk
-        head, sep, body = data.partition(b"\r\n\r\n")
-        if sep:
-            for line in head.split(b"\r\n"):
-                if line.lower().startswith(b"content-length:"):
-                    if len(body) >= int(line.split(b":", 1)[1]):
-                        return data
-    return data
-
-
-def _parse(raw: bytes):
-    head, _, body = raw.partition(b"\r\n\r\n")
-    status = int(head.split(b"\r\n", 1)[0].split()[1])
-    return status, json.loads(body)
 
 
 def _wait_for_death(process, timeout: float = 5.0) -> None:
