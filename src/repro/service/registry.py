@@ -30,6 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from ..cancellation import Cancelled, current_token, raise_if_cancelled
 from ..engine import Engine
 from ..schema import Schema, parse_dtd, parse_schema
 from ..schema.migrate import MigrationReport, analyze_migration
@@ -357,6 +358,10 @@ class SchemaRegistry:
 
         Raises:
             UnknownSchemaError: if ``fingerprint`` is not resident.
+            Cancelled: if the calling context's cancellation token was
+                cancelled before the swap (a timed-out ``/migrate``); the
+                registry is left as it was and the candidate's stored
+                artifact is deleted.
         """
         current = self.get(fingerprint)  # 404s early, refreshes recency
 
@@ -374,24 +379,26 @@ class SchemaRegistry:
             prewarm(schema, engine)
             engine.persist_to_store(schema, syntax=syntax)
 
-        report = analyze_migration(
-            current.schema,
-            schema,
-            queries=queries,
-            policy=policy,
-            engine_old=current.engine,
-            engine_new=engine,
-        )
+        try:
+            report = analyze_migration(
+                current.schema,
+                schema,
+                queries=queries,
+                policy=policy,
+                engine_old=current.engine,
+                engine_new=engine,
+            )
+            # A caller that gave up (its deadline passed) has already been
+            # told the request failed: the registry must not change after
+            # that answer, whatever the analysis found.
+            raise_if_cancelled(current_token())
+        except Cancelled:
+            self._discard_candidate(new_fingerprint, store_hit)
+            raise
         if not report.accepted:
             with self._lock:
                 self._migrations_rejected += 1
-            # Do not leave the rejected candidate's artifact behind: a
-            # restart restores every stored blob as a *registered* schema,
-            # and the policy just refused this one.  A blob that existed
-            # before the analysis (store_hit) is someone else's and stays.
-            if self.store is not None and not store_hit:
-                if new_fingerprint not in self:
-                    self.store.delete(new_fingerprint)
+            self._discard_candidate(new_fingerprint, store_hit)
             return current, report
         if new_fingerprint == fingerprint:
             # A no-op migration: nothing to swap, no version bump.
@@ -431,6 +438,17 @@ class SchemaRegistry:
         if self.store is not None:
             self.store.delete(fingerprint)
         return entry, report
+
+    def _discard_candidate(self, fingerprint: str, store_hit: bool) -> None:
+        """Delete a migration candidate's artifact that was not applied.
+
+        A restart restores every stored blob as a *registered* schema, so
+        a refused or abandoned candidate must not leave its blob behind.
+        A blob that existed before the analysis (``store_hit``) is someone
+        else's and stays, as does the blob of a resident schema.
+        """
+        if self.store is not None and not store_hit and fingerprint not in self:
+            self.store.delete(fingerprint)
 
     # ------------------------------------------------------------------
     # Lookup / eviction

@@ -1,8 +1,15 @@
 """Service-layer tests for schema evolution: migrate, history, unregister."""
 
 import json
+import random
+import time
+
+import pytest
 
 from repro.engine import ArtifactStore
+from repro.query import query_to_string
+from repro.reductions import random_3sat, reduce_formula
+from repro.schema import schema_to_string
 from repro.service import SchemaRegistry
 from repro.service.daemon import ServiceState
 
@@ -182,6 +189,46 @@ class TestMigrateRejected:
             {"schema": WIDE, "policy": "yolo"},
         )
         assert status == 400
+
+
+class TestMigrateTimedOut:
+    """A ``/migrate`` past its deadline answers 503 and changes nothing.
+
+    With one query the cancelled inference used to come back as an
+    ``invalid`` query, which the ``compatible`` policy accepts, so the
+    swap landed after the client's 503; with more queries the analysis
+    raised and skipped the cleanup, leaving the candidate's blob for a
+    restart to restore as a registered schema.
+    """
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_nothing_applied_and_no_candidate_blob(self, tmp_path, copies):
+        formula = random_3sat(8, n_clauses=32, rng=random.Random(3))
+        candidate, query = reduce_formula(formula)
+        state = ServiceState(registry=SchemaRegistry(store=ArtifactStore(root=tmp_path)))
+        # The reduction's query is dead on this schema at once, so only
+        # the candidate side of the analysis runs the NP-hard search.
+        fingerprint = register(state, "ROOT = [a -> A]; A = string")
+        status, envelope = post(
+            state,
+            f"/schemas/{fingerprint}/migrate",
+            {
+                "schema": schema_to_string(candidate),
+                "queries": [query_to_string(query)] * copies,
+                "deadline": 1.0,
+            },
+        )
+        assert status == 503
+        assert envelope["error"]["code"] == "timeout"
+        deadline = time.monotonic() + 10
+        while state.runner.stats()["detached"] and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert state.runner.stats()["detached"] == 0
+        assert [entry.fingerprint for entry in state.registry.entries()] == [
+            fingerprint
+        ]
+        assert state.registry.stats()["migrations"] == 0
+        assert [blob.stem for blob in tmp_path.rglob("*.art")] == [fingerprint]
 
 
 class TestUnregister:
