@@ -21,6 +21,7 @@ Example (the Abiteboul/Vianu query of Section 2)::
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional
 
 from ..automata.parser import parse_regex, regex_to_string
@@ -35,8 +36,30 @@ def _path_atom(label: str, target: Optional[str]) -> Regex:
     return sym(label)
 
 
+#: Parsed queries the memo keeps; the least recently used goes first.
+PARSE_MEMO_ENTRIES = 4096
+#: Longer texts are parsed every time, so no client can pin large bodies
+#: in the memo.  A parsed query takes 13-70 bytes per character of its
+#: text, so a full memo holds about 3 MB of typical 60-character queries
+#: and at most about 70 MB.
+PARSE_MEMO_MAX_CHARS = 256
+
+
 def parse_query(text: str, validate: bool = True) -> Query:
-    """Parse a selection query."""
+    """Parse a selection query.
+
+    Successful parses of texts up to :data:`PARSE_MEMO_MAX_CHARS`
+    characters are memoized by ``(text, validate)`` in a bounded LRU, so
+    a repeated text returns the same :class:`Query` without re-lexing;
+    errors are not memoized.  The query is shared between callers, which
+    treat it as immutable.
+    """
+    if len(text) <= PARSE_MEMO_MAX_CHARS:
+        return _parse_memoized(text, validate)
+    return _parse(text, validate)
+
+
+def _parse(text: str, validate: bool) -> Query:
     stream = TokenStream(text)
     stream.expect("IDENT", "SELECT")
     select: List[str] = []
@@ -62,6 +85,9 @@ def parse_query(text: str, validate: bool = True) -> Query:
             f"column {token.column}"
         )
     return Query(select, patterns, validate=validate)
+
+
+_parse_memoized = functools.lru_cache(maxsize=PARSE_MEMO_ENTRIES)(_parse)
 
 
 def _parse_pattern_def(stream: TokenStream) -> PatternDef:

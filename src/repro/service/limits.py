@@ -6,9 +6,12 @@ in disguise.  A production service cannot let one such request pin a
 worker forever.  This module gives every request:
 
 * a **wall-clock deadline** (client-settable per request, clamped to a
-  server maximum).  The decision procedure runs on a detached daemon
-  thread; if the deadline passes, the HTTP worker answers a structured
-  503 ``timeout`` envelope and is immediately reclaimed for new requests.
+  server maximum).  The decision procedure runs on a compute thread
+  that the runner reuses: a thread parks when its call ends and takes
+  the next one, so no call pays a thread start-up.  If the deadline
+  passes, the HTTP worker answers a structured 503 ``timeout``
+  envelope and is immediately reclaimed for new requests, while the
+  computation runs on detached.
   Pure-Python CPU-bound work cannot be interrupted from outside, so the
   runner **cancels** the abandoned computation's
   :class:`~repro.cancellation.CancelToken` and the long loops (the
@@ -16,8 +19,9 @@ worker forever.  This module gives every request:
   within a few hundred steps.  Work with no poll point still runs to
   completion in the background — which is why a bounded **slot
   semaphore** caps how many computations (live or abandoned) may exist
-  at once; when no slot frees up in time the server answers 503 ``busy``
-  instead of queueing unboundedly.
+  at once, and with them how many compute threads; when no slot frees
+  up in time the server answers 503 ``busy`` instead of queueing
+  unboundedly.
 * an **input size cap** on request bodies (413 ``payload-too-large``).
 
 All three failure modes surface as :class:`~repro.service.envelope.ServiceError`
@@ -26,12 +30,17 @@ subclasses and therefore as machine-readable error envelopes.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 
 from ..cancellation import CancelToken, bind
 from .envelope import ServiceError
+
+#: Seconds a parked compute thread waits for its next call before it
+#: exits: a busy server keeps its threads, an idle one gives them back.
+IDLE_EXIT_S = 10.0
 
 
 class DeadlineExceeded(ServiceError):
@@ -80,7 +89,8 @@ class ServiceLimits:
         default_deadline_s: deadline when the request names none.
         max_deadline_s: ceiling a request's own ``deadline`` is clamped to.
         max_slots: concurrent computations (including ones abandoned by a
-            timeout but still burning CPU) the server will carry.
+            timeout but still burning CPU) the server will carry; also
+            the most compute threads the runner keeps.
         slot_wait_s: how long a request waits for a free slot before 503
             ``busy`` — kept short so saturation is visible, not queued.
         max_batch_items: largest item list ``POST /batch`` accepts; the
@@ -123,16 +133,62 @@ class ServiceLimits:
             raise PayloadTooLarge(size, self.max_body_bytes)
 
 
+class _Call:
+    """One computation handed to a compute thread, and its outcome."""
+
+    __slots__ = ("fn", "token", "done", "value", "error")
+
+    def __init__(self, fn: Callable[[], Any]):
+        self.fn = fn
+        # Cancelling the token is also how the caller marks the call
+        # abandoned: the compute thread reads it under the runner lock.
+        self.token = CancelToken()
+        self.done = threading.Event()
+        self.value: Any = None
+        self.error: Optional[BaseException] = None
+
+    def run(self) -> None:
+        bind(self.token)
+        try:
+            self.value = self.fn()
+        except BaseException as exc:  # propagated to the caller
+            self.error = exc
+
+
+class _Worker:
+    """A compute thread's hand-off point.
+
+    ``wake`` stays locked while the thread runs or waits; a caller that
+    takes the parked thread stores its call in ``call`` and releases it.
+    """
+
+    __slots__ = ("wake", "call")
+
+    def __init__(self) -> None:
+        self.wake = threading.Lock()
+        self.wake.acquire()
+        self.call: Optional[_Call] = None
+
+
 class DeadlineRunner:
-    """Runs callables under a deadline on detached daemon threads.
+    """Runs callables under a deadline on reused compute threads.
 
     One runner per server; the semaphore is the global computation-slot
     budget.  :meth:`call` either returns the callable's result, re-raises
     its exception, or raises :class:`DeadlineExceeded` /
     :class:`ServiceBusy`.
 
-    Each call runs with a fresh :class:`~repro.cancellation.CancelToken`
-    bound on its thread.  Detaching a call cancels that token, so a
+    The callable always runs on another thread.  A thread that finishes
+    its call parks, and the next call goes to the most recently parked
+    thread; a new thread starts only when none is parked, so at most
+    ``max_slots`` compute threads exist, and one parked for
+    :data:`IDLE_EXIT_S` exits.  A timed-out call leaves its thread
+    running detached; the thread parks once the computation ends.
+
+    Each call runs in a fresh, empty context with its own
+    :class:`~repro.cancellation.CancelToken` bound, as on a new thread,
+    so nothing a call binds (a cancelled token included) reaches the
+    next call on that thread.  Detaching a call cancels its token, so a
     computation that polls it gives its slot back (and ``detached``
     falls back) shortly after the timeout instead of when it finishes.
     """
@@ -142,53 +198,84 @@ class DeadlineRunner:
         self._slots = threading.BoundedSemaphore(limits.max_slots)
         self._lock = threading.Lock()
         self._timeouts = 0
-        self._detached = 0  # threads currently running past their deadline
+        self._detached = 0  # calls currently running past their deadline
+        self._parked: List[_Worker] = []  # most recently parked last
+        self._exited: List[threading.Thread] = []  # idle exits not yet joined
 
     def call(self, fn: Callable[[], Any], deadline_s: float) -> Any:
         if not self._slots.acquire(timeout=self.limits.slot_wait_s):
             raise ServiceBusy(self.limits.max_slots)
-        box: dict = {}
-        done = threading.Event()
-        # Cancelling the token is also how the caller marks the call
-        # abandoned: the worker reads it under the lock below.
-        token = CancelToken()
-
-        def work() -> None:
-            bind(token)
-            try:
-                box["value"] = fn()
-            except BaseException as exc:  # propagated to the caller below
-                box["error"] = exc
-            finally:
-                # done and the cancellation are written/read under one
-                # lock so exactly one side accounts for this thread:
-                # either the caller sees done first and takes the result,
-                # or it abandons first and this worker pays the decrement.
-                with self._lock:
-                    done.set()
-                    if token.cancelled:
-                        self._detached -= 1
-                self._slots.release()
-
-        thread = threading.Thread(target=work, daemon=True, name="repro-compute")
-        thread.start()
+        call = _Call(fn)
+        self._hand_off(call)
         timed_out = False
-        if not done.wait(timeout=deadline_s):
+        if not call.done.wait(timeout=deadline_s):
             with self._lock:
-                # The worker may finish between the wait timing out and
+                # The thread may finish between the wait timing out and
                 # this acquisition; deciding on done under the lock keeps
                 # the detached counter exact and, when the answer did
                 # arrive, returns it instead of a spurious timeout.
-                if not done.is_set():
+                if not call.done.is_set():
                     self._timeouts += 1
                     self._detached += 1
-                    token.cancel()
+                    call.token.cancel()
                     timed_out = True
         if timed_out:
             raise DeadlineExceeded(deadline_s)
-        if "error" in box:
-            raise box["error"]
-        return box["value"]
+        if call.error is not None:
+            raise call.error
+        return call.value
+
+    def _hand_off(self, call: _Call) -> None:
+        """Give ``call`` (whose slot is taken) to a parked thread or a new one."""
+        with self._lock:
+            if self._parked:
+                worker = self._parked.pop()
+            else:
+                worker = None
+                exited, self._exited = self._exited, []
+        if worker is not None:
+            worker.call = call
+            worker.wake.release()
+            return
+        # Threads that left the parked list on their idle timeout are
+        # finishing; joining them keeps the live count within max_slots.
+        for thread in exited:
+            thread.join()
+        try:
+            threading.Thread(
+                target=self._serve, args=(_Worker(), call), daemon=True, name="repro-compute"
+            ).start()
+        except BaseException:
+            # No thread runs the call, so nothing else will free its slot.
+            self._slots.release()
+            raise
+
+    def _serve(self, worker: _Worker, call: Optional[_Call]) -> None:
+        """A compute thread's life: run a call, park, wait for the next."""
+        while True:
+            contextvars.Context().run(call.run)
+            with self._lock:
+                # done and the cancellation are written/read under one
+                # lock so exactly one side accounts for this call:
+                # either the caller sees done first and takes the result,
+                # or it abandons first and this thread pays the decrement.
+                call.done.set()
+                if call.token.cancelled:
+                    self._detached -= 1
+                # Parked before the slot is freed: a caller holding that
+                # slot finds this thread instead of starting another.
+                self._parked.append(worker)
+            self._slots.release()
+            call = None  # hold no finished call (or its result) while parked
+            if not worker.wake.acquire(timeout=IDLE_EXIT_S):
+                with self._lock:
+                    if worker in self._parked:
+                        self._parked.remove(worker)
+                        self._exited.append(threading.current_thread())
+                        return
+                # A caller took this thread as the wait ran out.
+                worker.wake.acquire()
+            call, worker.call = worker.call, None
 
     def stats(self) -> dict:
         with self._lock:

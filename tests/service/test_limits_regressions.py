@@ -9,7 +9,7 @@
    raised a spurious ``DeadlineExceeded`` even though the answer was
    sitting in the result box.  The fix decides the handshake under one
    lock; these tests pin the window open deterministically by making
-   ``done.wait`` join the worker before reporting a timeout.
+   ``done.wait`` wait for the call to finish before reporting a timeout.
 
 2. **Boolean deadlines.**  ``isinstance(True, int)`` holds in Python, so
    ``{"deadline": true}`` used to clamp to a silent 1-second deadline
@@ -30,18 +30,17 @@ from repro.service.limits import DeadlineExceeded, DeadlineRunner, ServiceLimits
 class _WorkerFinishesDuringWait(threading.Event):
     """An Event whose timed wait lets the compute thread finish first.
 
-    Joining every ``repro-compute`` thread before reporting a timeout
-    reproduces, deterministically, the schedule where the worker
+    Waiting until the call's own ``done`` is set and then reporting a
+    timeout reproduces, deterministically, the schedule where the worker
     completes in the gap between the caller's wait expiring and the
-    caller taking the runner lock.
+    caller taking the runner lock.  (The compute threads are reused, so
+    waiting for a thread to exit would wait for its idle timeout.)
     """
 
     def wait(self, timeout=None):
         if timeout is None:
             return super().wait()
-        for thread in threading.enumerate():
-            if thread.name == "repro-compute":
-                thread.join(timeout=10)
+        super().wait(timeout=10)
         return False
 
 
