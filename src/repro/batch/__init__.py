@@ -5,8 +5,8 @@ artifacts (alphabet, inhabited types, content NFAs, reachability) exist;
 what dominates corpus-scale use is recompiling those artifacts per call.
 This package amortizes that cost: a :class:`BatchPlan` names one
 operation, one schema, and many items; :func:`run_batch` compiles once
-and fans the items over a sequential loop, a shared-engine thread pool,
-or a process pool that ships the schema text once per worker.
+and decides the items in a loop on the calling thread, or over a process
+pool that ships the compiled schema once per worker.
 
 Surfaced as ``repro batch`` (NDJSON in, NDJSON envelopes out) and as the
 service's ``POST /batch`` endpoint.

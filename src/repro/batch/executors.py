@@ -1,47 +1,36 @@
-"""Batch executors: sequential, shared-engine threads, process pool.
+"""Batch executors: an in-process loop and a process pool.
 
-Three ways to drive a :class:`~repro.batch.plan.BatchPlan`:
+Two ways to drive a :class:`~repro.batch.plan.BatchPlan`:
 
-* ``sequential`` — compile once, loop.  The honest baseline and the
-  fallback everywhere else.
-* ``thread`` — compile once, fan items over a small pool of daemon
-  threads that all share the one pre-warmed
-  :class:`~repro.engine.Engine` (the engine is thread-safe and
-  single-flight, so concurrent items reuse — never duplicate — compiled
-  automata).  This is what ``POST /batch`` uses, handing in the
-  registry's already-warm engine.
+* ``sequential`` — compile once, then decide the items in order on the
+  calling thread (:func:`run_items_shared`).  ``POST /batch`` and the
+  migration analysis run the same loop over the registry's already-warm
+  engine.  The decision procedures are pure Python and hold the GIL, so
+  spreading items over threads would buy no parallelism.
 * ``process`` — compile once in the parent, then ship the *compiled
   artifact* (schema plus minimized transition tables, as one versioned
   pickle payload; see :mod:`repro.engine.artifact`) to each worker via
   the pool initializer.  Workers unpickle dense integer arrays instead
   of re-parsing schema text and re-running the compile pipeline; items
   then pay pickling for their JSON dicts only.
-
-The threaded pool is hand-rolled from daemon threads rather than
-``concurrent.futures.ThreadPoolExecutor`` because the latter's workers
-are non-daemon: a batch abandoned by the service's deadline runner would
-then keep the interpreter alive at exit.  Daemon threads pulling indices
-from a locked cursor give the same fan-out with none of that teardown
-hazard.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..cancellation import bind, current_token, raise_if_cancelled
+from ..cancellation import current_token, raise_if_cancelled
 from ..engine import Engine, EngineArtifact
 from ..schema import Schema
 from .plan import BatchPlan, item_envelope, summarize
 
 #: The executor names :func:`run_batch` accepts.
-EXECUTORS: Tuple[str, ...] = ("sequential", "thread", "process")
+EXECUTORS: Tuple[str, ...] = ("sequential", "process")
 
 
 def default_workers() -> int:
@@ -52,13 +41,13 @@ def default_workers() -> int:
 def chunk_indexed(
     items: Sequence[Any], workers: int, chunk_size: Optional[int] = None
 ) -> List[List[Tuple[int, Any]]]:
-    """Split ``items`` into index-tagged chunks for fan-out.
+    """Split ``items`` into index-tagged chunks for the process pool.
 
     Each element is ``(original_index, item)`` so results can be placed
-    back in input order no matter which worker (or process) decided
-    them.  The automatic chunk size aims for ~8 chunks per worker: large
-    enough to amortize per-chunk dispatch, small enough that one slow
-    chunk cannot strand the pool's tail.
+    back in input order no matter which worker process decided them.
+    The automatic chunk size aims for ~8 chunks per worker: large enough
+    to amortize per-chunk dispatch, small enough that one slow chunk
+    cannot strand the pool's tail.
     """
     if workers <= 0:
         raise ValueError("workers must be positive")
@@ -71,7 +60,7 @@ def chunk_indexed(
 
 
 # ----------------------------------------------------------------------
-# In-process execution over a shared engine
+# In-process execution, in order on the calling thread
 # ----------------------------------------------------------------------
 
 
@@ -80,66 +69,27 @@ def run_items_shared(
     schema: Optional[Schema],
     engine: Engine,
     items: Sequence[Any],
-    workers: int = 4,
 ) -> List[dict]:
-    """Decide ``items`` on daemon threads sharing one pre-warmed engine.
+    """Decide ``items`` in order on the calling thread over one engine.
 
-    Returns per-item envelopes in input order.  This is the path
-    ``POST /batch`` takes with the registry's engine; ``workers <= 1``
-    (or a single item) degrades to a plain loop.
+    Returns per-item envelopes in input order.  This is the loop the
+    ``sequential`` executor, ``POST /batch`` (with the registry's
+    engine) and the migration analysis share.
 
     The caller's cancellation token (see :mod:`repro.cancellation`) is
-    bound in every fan-out thread and polled before each item and after
-    the last; once it is cancelled the threads stop taking items and
+    polled before each item and after the last; once it is cancelled
     this call raises :class:`~repro.cancellation.Cancelled` rather than
-    return a partial result — on the single-item path too, where the
-    cancelled item itself would otherwise come back as an error envelope.
+    return a partial result.
     """
-    n = len(items)
-    if n == 0:
-        return []
     token = current_token()
-    workers = min(workers, n)
-    if workers <= 1:
-        envelopes = []
-        for index, item in enumerate(items):
-            raise_if_cancelled(token)
-            envelopes.append(item_envelope(index, operation, schema, engine, item))
-        # item_envelope turns an item's Cancelled into an error envelope;
-        # a cancelled last item must not pass for a finished result.
+    envelopes = []
+    for index, item in enumerate(items):
         raise_if_cancelled(token)
-        return envelopes
-
-    results: List[Optional[dict]] = [None] * n
-    cursor_lock = threading.Lock()
-    cursor = [0]
-
-    def drain() -> None:
-        bind(token)
-        while True:
-            if token is not None and token.cancelled:
-                return
-            with cursor_lock:
-                index = cursor[0]
-                if index >= n:
-                    return
-                cursor[0] = index + 1
-            results[index] = item_envelope(
-                index, operation, schema, engine, items[index]
-            )
-
-    threads = [
-        threading.Thread(target=drain, daemon=True, name=f"repro-batch-{i}")
-        for i in range(workers)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+        envelopes.append(item_envelope(index, operation, schema, engine, item))
+    # item_envelope turns an item's Cancelled into an error envelope;
+    # a cancelled last item must not pass for a finished result.
     raise_if_cancelled(token)
-    # item_envelope never raises, so every slot is filled once the
-    # drain threads exit.
-    return [envelope for envelope in results if envelope is not None]
+    return envelopes
 
 
 # ----------------------------------------------------------------------
@@ -272,16 +222,17 @@ class BatchResult:
 
 def run_batch(
     plan: BatchPlan,
-    executor: str = "thread",
+    executor: str = "sequential",
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     store=None,
 ) -> BatchResult:
     """Run ``plan`` under the named executor and summarize the outcome.
 
-    ``store`` (an :class:`~repro.engine.ArtifactStore`) only affects the
-    ``process`` executor, whose workers then load the compiled artifact
-    from disk instead of receiving pickled bytes apiece.
+    ``workers``, ``chunk_size`` and ``store`` (an
+    :class:`~repro.engine.ArtifactStore`) only affect the ``process``
+    executor; with a store its workers load the compiled artifact from
+    disk instead of receiving pickled bytes apiece.
     """
     if executor not in EXECUTORS:
         raise ValueError(
@@ -294,19 +245,7 @@ def run_batch(
         )
     else:
         schema, engine = plan.compile()
-        if executor == "sequential":
-            results = [
-                item_envelope(index, plan.operation, schema, engine, item)
-                for index, item in enumerate(plan.items)
-            ]
-        else:
-            results = run_items_shared(
-                plan.operation,
-                schema,
-                engine,
-                plan.items,
-                workers=workers or default_workers(),
-            )
+        results = run_items_shared(plan.operation, schema, engine, plan.items)
     elapsed = time.perf_counter() - started
     return BatchResult(
         results=results,

@@ -29,11 +29,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..data import from_xml, parse_data
-from ..engine import Engine, resolve_backend
+from ..engine import Engine, prewarm, resolve_backend
 from ..query import evaluate, parse_query
 from ..schema import Schema, find_type_assignment, parse_dtd, parse_schema
 from ..service.envelope import ServiceError, as_service_error, positive_int_field
-from ..service.registry import prewarm
 from ..typing import check_total_types, check_types, classify, is_satisfiable
 from ..typing.inference import iterate_inferred_types
 

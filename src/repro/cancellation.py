@@ -9,9 +9,10 @@ with :class:`Cancelled`.
 
 The token travels in a context variable, so the decision procedures read
 it without any parameter threading — and without importing the service
-package.  A new thread starts with an empty context: code that fans work
-out to threads passes :func:`current_token` along and :func:`bind`\\ s it
-in each worker.  With no token bound, every poll is a no-op.
+package.  A new thread starts with an empty context: the deadline runner
+:func:`bind`\\ s each call's token on the compute thread that runs it,
+and the work stays on that thread.  With no token bound, every poll is a
+no-op.
 """
 
 from __future__ import annotations

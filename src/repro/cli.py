@@ -459,8 +459,7 @@ def _resolve_store(args: argparse.Namespace, required: bool = False):
 
 
 def cmd_warm(args: argparse.Namespace) -> Outcome:
-    from .engine import Engine, EngineArtifact
-    from .service.registry import prewarm
+    from .engine import Engine, EngineArtifact, prewarm
 
     store = _resolve_store(args, required=True)
     sources = []  # (label, schema, syntax)
@@ -846,12 +845,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_cmd.add_argument(
         "--executor",
-        choices=("sequential", "thread", "process"),
-        default="thread",
-        help="how to fan the items out (default: thread)",
+        choices=("sequential", "process"),
+        default="sequential",
+        help="how to run the items (default: sequential)",
     )
     batch_cmd.add_argument(
-        "--workers", type=int, default=None, help="worker threads/processes"
+        "--workers", type=int, default=None, help="worker processes"
     )
     batch_cmd.add_argument(
         "--chunk-size",

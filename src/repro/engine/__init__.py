@@ -9,7 +9,7 @@ the constructions behind those keys in a bounded, instrumented
 :func:`get_default_engine`.
 """
 
-from .artifact import ARTIFACT_VERSION, ArtifactError, EngineArtifact, prewarm_schema
+from .artifact import ARTIFACT_VERSION, ArtifactError, EngineArtifact, prewarm
 from .cache import CacheStats, EngineCache, KindStats
 from .core import (
     BACKENDS,
@@ -42,7 +42,7 @@ __all__ = [
     "KindStats",
     "default_cache_dir",
     "get_default_engine",
-    "prewarm_schema",
+    "prewarm",
     "resolve_backend",
     "set_default_engine",
     "version_tag",

@@ -180,23 +180,25 @@ class EngineArtifact:
         )
 
 
-def prewarm_schema(engine: Engine, schema) -> None:
-    """Compile everything schema-derived that workers will need.
+def prewarm(schema, engine: Engine) -> int:
+    """Compile ``schema``'s per-schema artifacts into ``engine``.
 
-    Forces the schema graph, the inhabited set, and — on the compiled
-    backend — the content tables of every collection type, so a
-    subsequent :meth:`EngineArtifact.capture` has the full per-schema
-    working set to ship.
+    Builds the symbol alphabet, the inhabited types, the schema graph,
+    the reachability object and the (restricted) content automata of
+    every collection type — on the compiled backend through the full
+    pipeline (NFA → subset → Hopcroft → tables) — so no request pays a
+    first-touch compile and :meth:`EngineArtifact.capture` has the whole
+    working set to ship.  Returns the engine's cache entry count.
     """
     engine.symbol_alphabet(schema)
     engine.inhabited_types(schema)
     engine.possible_edges(schema)
-    for type_def in schema:
-        if type_def.is_atomic:
-            continue
-        if engine.backend == "compiled":
-            engine.compiled_content(schema, type_def.tid)
-            engine.compiled_restricted_content(schema, type_def.tid)
-        else:
-            engine.content_nfa(schema, type_def.tid)
-            engine.restricted_content_nfa(schema, type_def.tid)
+    engine.reach(schema)
+    for tid in schema.tids():
+        if not schema.type(tid).is_atomic:
+            engine.content_nfa(schema, tid)
+            engine.restricted_content_nfa(schema, tid)
+            if engine.backend == "compiled":
+                engine.compiled_content(schema, tid)
+                engine.compiled_restricted_content(schema, tid)
+    return len(engine.cache)

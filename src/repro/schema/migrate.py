@@ -15,9 +15,9 @@ query the report says
 * ``invalid``  — the query text itself does not parse (reported, never
   blocking: a broken query file should not veto a migration).
 
-Bulk analysis reuses the batch pipeline's shared-engine executor
-(:func:`repro.batch.executors.run_items_shared`), so a large query set
-pays each schema's compile once.
+Bulk analysis reuses the batch pipeline's in-order item loop
+(:func:`repro.batch.executors.run_items_shared`) on the calling thread,
+so a large query set pays each schema's compile once.
 
 Policy levels (the migrate endpoint's acceptance thresholds)::
 
@@ -152,7 +152,6 @@ def analyze_migration(
     engine_new: Optional[Engine] = None,
     delta: Optional[SchemaDelta] = None,
     limit: int = DEFAULT_INFER_LIMIT,
-    workers: int = 4,
 ) -> MigrationReport:
     """Diff the schemas and re-infer every query's typing on both sides."""
     if policy not in POLICIES:
@@ -171,8 +170,8 @@ def analyze_migration(
         from ..batch.executors import run_items_shared
 
         items = [{"query": text, "limit": limit} for text in queries]
-        before = run_items_shared("infer", old, engine_old, items, workers=workers)
-        after = run_items_shared("infer", new, engine_new, items, workers=workers)
+        before = run_items_shared("infer", old, engine_old, items)
+        after = run_items_shared("infer", new, engine_new, items)
         word, change_line = _delta_counterexample(delta)
         for index, text in enumerate(queries):
             reports.append(

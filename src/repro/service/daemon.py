@@ -30,7 +30,7 @@ Endpoints (all bodies and responses are JSON envelopes, see
 ``POST /validate``    Definition 2.1 conformance of a data graph
 ``POST /evaluate``    Definition 2.3 query evaluation on a data graph
 ``POST /batch``       one operation over many items under one
-                      fingerprint, fanned over the schema's shared
+                      fingerprint, decided in order over the schema's
                       engine (see :mod:`repro.batch`)
 ``GET /healthz``      liveness (never touches the registry lock)
 ``GET /stats``        service metrics + registry + engine cache counters
@@ -56,10 +56,17 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..data import from_xml, parse_data
+from ..data import data_to_string, from_xml, parse_data
 from ..query import evaluate, parse_query, query_to_string
 from ..schema import find_type_assignment
-from ..typing import check_total_types, check_types, classify, is_satisfiable
+from ..typing import (
+    WitnessError,
+    check_total_types,
+    check_types,
+    classify,
+    find_witness,
+    is_satisfiable,
+)
 from ..typing.inference import iterate_inferred_types
 from .envelope import (
     ServiceError,
@@ -70,12 +77,13 @@ from .envelope import (
 )
 from .framing import (
     CONTINUE,
+    LISTEN_BACKLOG,
     MAX_LINE_BYTES,
     ConnectionClosed,
     RequestHead,
     encode,
 )
-from .limits import DeadlineRunner, ServiceLimits
+from .limits import DeadlineExceeded, DeadlineRunner, ServiceLimits
 from .metrics import ServiceMetrics
 from .registry import RegisteredSchema, SchemaRegistry
 from .routes import (
@@ -247,6 +255,7 @@ class ServiceState:
         # Validate the deadline even when the memo will answer: request
         # validation must not depend on what earlier requests cached.
         deadline = self.limits.clamp_deadline(body.get("deadline"))
+        expires = time.monotonic() + deadline
         # The verdict is a pure function of (schema, query, pins), and the
         # entry is immutable for the fingerprint's lifetime — memoize it so
         # a repeated warm request is one dict lookup, not a full automata
@@ -264,18 +273,19 @@ class ServiceState:
         )
         result = {"satisfiable": verdict, "fingerprint": entry.fingerprint}
         if verdict and body.get("witness"):
-            from ..data import data_to_string
-            from ..typing import WitnessError, find_witness
 
+            def search() -> dict:
+                try:
+                    witness = find_witness(parse_query(text), entry.schema)
+                except WitnessError as error:
+                    return {"witness": None, "witness_error": str(error)}
+                return {"witness": data_to_string(witness) if witness else None}
+
+            # The search gets what is left of the request's deadline.
             try:
-                witness = find_witness(parse_query(text), entry.schema)
-            except WitnessError as error:
-                result["witness"] = None
-                result["witness_error"] = str(error)
-            else:
-                result["witness"] = (
-                    data_to_string(witness) if witness is not None else None
-                )
+                result.update(self.runner.call(search, expires - time.monotonic()))
+            except DeadlineExceeded:
+                raise DeadlineExceeded(deadline) from None
         return result
 
     def do_check(self, body: Dict[str, Any]) -> dict:
@@ -429,20 +439,14 @@ class ServiceState:
             )
         started = time.perf_counter()
         # The whole batch runs under ONE deadline and occupies ONE
-        # computation slot; its internal fan-out threads share the
-        # registry entry's pre-warmed engine.
+        # computation slot; its items are decided in order on that
+        # slot's compute thread over the registry entry's engine.
         results = self._deadlined(
             body,
-            lambda: run_items_shared(
-                operation,
-                entry.schema,
-                entry.engine,
-                items,
-                workers=self.limits.batch_workers,
-            ),
+            lambda: run_items_shared(operation, entry.schema, entry.engine, items),
         )
         elapsed = time.perf_counter() - started
-        summary = summarize(operation, "thread", results, elapsed)
+        summary = summarize(operation, "sequential", results, elapsed)
         self.metrics.record_batch(len(results), summary["errors"], elapsed)
         return {
             "results": results,
@@ -579,6 +583,7 @@ class _Handler(socketserver.StreamRequestHandler):
 class _ThreadingServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+    request_queue_size = LISTEN_BACKLOG
 
     def __init__(self, address: Tuple[str, int], state: ServiceState, verbose: bool):
         self.state = state

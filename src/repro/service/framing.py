@@ -39,6 +39,7 @@ from __future__ import annotations
 import email.utils
 import functools
 import json
+import socket
 import time
 from http import HTTPStatus
 from typing import Dict, Optional
@@ -53,6 +54,10 @@ MAX_LINE_BYTES = 65536
 
 #: Most header lines one request head may carry (``http.server``'s cap).
 MAX_HEADER_LINES = 100
+
+#: Listen backlog of both tiers: a burst of connects waits in the kernel's
+#: accept queue instead of being dropped (socketserver's default is 5).
+LISTEN_BACKLOG = socket.SOMAXCONN
 
 #: The ``Server`` header both tiers send.
 SERVER_NAME = "repro-typed-query/1"

@@ -15,13 +15,14 @@ worker forever.  This module gives every request:
   Pure-Python CPU-bound work cannot be interrupted from outside, so the
   runner **cancels** the abandoned computation's
   :class:`~repro.cancellation.CancelToken` and the long loops (the
-  satisfiability word search, the ``/batch`` fan-out) poll it and unwind
-  within a few hundred steps.  Work with no poll point still runs to
-  completion in the background — which is why a bounded **slot
+  satisfiability word search, the ``/batch`` item loop) poll it and
+  unwind within a few hundred steps.  Work with no poll point still runs
+  to completion in the background — which is why a bounded **slot
   semaphore** caps how many computations (live or abandoned) may exist
   at once, and with them how many compute threads; when no slot frees
   up in time the server answers 503 ``busy`` instead of queueing
-  unboundedly.
+  unboundedly.  A call made when nothing is left of its deadline times
+  out at once and starts nothing.
 * an **input size cap** on request bodies (413 ``payload-too-large``).
 
 All three failure modes surface as :class:`~repro.service.envelope.ServiceError`
@@ -94,10 +95,8 @@ class ServiceLimits:
         slot_wait_s: how long a request waits for a free slot before 503
             ``busy`` — kept short so saturation is visible, not queued.
         max_batch_items: largest item list ``POST /batch`` accepts; the
-            whole batch occupies one computation slot, so this bounds the
-            work a single slot may hide.
-        batch_workers: threads a ``/batch`` request fans its items over
-            (all sharing the schema's pre-warmed engine).
+            whole batch occupies one computation slot and decides its
+            items in order, so this bounds the work a single slot may hide.
     """
 
     max_body_bytes: int = 1 << 20
@@ -106,7 +105,6 @@ class ServiceLimits:
     max_slots: int = 32
     slot_wait_s: float = 1.0
     max_batch_items: int = 256
-    batch_workers: int = 4
 
     def clamp_deadline(self, requested: Optional[float]) -> float:
         """The effective deadline for a request asking for ``requested``.
@@ -203,6 +201,12 @@ class DeadlineRunner:
         self._exited: List[threading.Thread] = []  # idle exits not yet joined
 
     def call(self, fn: Callable[[], Any], deadline_s: float) -> Any:
+        if deadline_s <= 0:
+            # Nothing is left of the request's deadline: time out without
+            # taking a slot or starting the computation.
+            with self._lock:
+                self._timeouts += 1
+            raise DeadlineExceeded(deadline_s)
         if not self._slots.acquire(timeout=self.limits.slot_wait_s):
             raise ServiceBusy(self.limits.max_slots)
         call = _Call(fn)

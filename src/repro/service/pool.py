@@ -66,7 +66,14 @@ import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from .envelope import ServiceError, as_service_error, error_envelope, ok_envelope
-from .framing import CONTINUE, MAX_LINE_BYTES, ConnectionClosed, RequestHead, encode
+from .framing import (
+    CONTINUE,
+    LISTEN_BACKLOG,
+    MAX_LINE_BYTES,
+    ConnectionClosed,
+    RequestHead,
+    encode,
+)
 from .limits import ServiceLimits
 from .metrics import ServiceMetrics
 from .routes import (
@@ -905,6 +912,7 @@ class PoolService:
             # readline() refuses a line past the limit, so this is the
             # framing layer's line cap (terminator included).
             limit=MAX_LINE_BYTES - 1,
+            backlog=LISTEN_BACKLOG,
         )
         address = self._server.sockets[0].getsockname()
         return address[0], address[1]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..cancellation import Cancelled, current_token, raise_if_cancelled
-from ..engine import Engine
+from ..engine import Engine, prewarm
 from ..schema import Schema, parse_dtd, parse_schema
 from ..schema.migrate import MigrationReport, analyze_migration
 from .envelope import ServiceError
@@ -153,32 +153,6 @@ def parse_schema_text(text: str, syntax: str = "scmdl", wrap: bool = False) -> S
         f"unknown schema syntax {syntax!r} (expected 'scmdl' or 'dtd')",
         code="bad-request",
     )
-
-
-def prewarm(schema: Schema, engine: Engine) -> int:
-    """Compile ``schema``'s per-schema artifacts into ``engine``.
-
-    Runs every construction a decision endpoint will need: the symbol
-    alphabet, the inhabited-type set, the schema graph, the reachability
-    object, and the (restricted) content automata of every collection
-    type — on the compiled backend that means running the full compile
-    pipeline (NFA → subset → Hopcroft → tables) per type up front, so no
-    request pays a first-touch compile.  Returns the number of cache
-    entries the engine holds afterwards, so callers can report how much
-    was warmed.
-    """
-    engine.symbol_alphabet(schema)
-    engine.inhabited_types(schema)
-    engine.possible_edges(schema)
-    engine.reach(schema)
-    for tid in schema.tids():
-        if not schema.type(tid).is_atomic:
-            engine.content_nfa(schema, tid)
-            engine.restricted_content_nfa(schema, tid)
-            if engine.backend == "compiled":
-                engine.compiled_content(schema, tid)
-                engine.compiled_restricted_content(schema, tid)
-    return len(engine.cache)
 
 
 class SchemaRegistry:

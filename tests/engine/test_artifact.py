@@ -16,7 +16,7 @@ from repro.engine import (
     ArtifactError,
     Engine,
     EngineArtifact,
-    prewarm_schema,
+    prewarm,
 )
 from repro.schema import parse_schema, schema_to_string
 from repro.workloads import document_schema
@@ -26,7 +26,7 @@ SCHEMA = document_schema(3)
 
 def _captured(backend="compiled"):
     engine = Engine(backend=backend)
-    prewarm_schema(engine, SCHEMA)
+    prewarm(SCHEMA, engine)
     return engine, EngineArtifact.capture(engine, SCHEMA)
 
 
@@ -43,7 +43,7 @@ class TestCapture:
     def test_capture_records_the_parent_backend(self):
         for backend in ("nfa", "compiled"):
             engine = Engine(backend=backend)
-            prewarm_schema(engine, SCHEMA)
+            prewarm(SCHEMA, engine)
             assert EngineArtifact.capture(engine, SCHEMA).backend == backend
 
 

@@ -21,7 +21,7 @@ from repro.engine import (
     ArtifactStore,
     Engine,
     EngineArtifact,
-    prewarm_schema,
+    prewarm,
     version_tag,
 )
 from repro.workloads import chain_schema, document_schema
@@ -31,7 +31,7 @@ SCHEMA = document_schema(3)
 
 def baked_artifact(schema=SCHEMA, backend="compiled"):
     engine = Engine(backend=backend)
-    prewarm_schema(engine, schema)
+    prewarm(schema, engine)
     return EngineArtifact.capture(engine, schema)
 
 
@@ -285,7 +285,7 @@ class TestEngineLoadThrough:
     def test_memory_hit_short_circuits_the_store(self, tmp_path):
         store = ArtifactStore(root=tmp_path)
         engine = Engine(store=store)
-        prewarm_schema(engine, SCHEMA)
+        prewarm(SCHEMA, engine)
         assert engine.warm_from_store(SCHEMA)  # already resident
         assert store.stats()["hits"] == 0 and store.stats()["misses"] == 0
 
@@ -295,7 +295,7 @@ class TestEngineLoadThrough:
     def test_persist_then_warm_round_trip(self, tmp_path):
         store = ArtifactStore(root=tmp_path)
         parent = Engine(store=store)
-        prewarm_schema(parent, SCHEMA)
+        prewarm(SCHEMA, parent)
         assert parent.persist_to_store(SCHEMA) is not None
         child = Engine(store=ArtifactStore(root=tmp_path))
         assert child.warm_from_store(SCHEMA)

@@ -1,5 +1,7 @@
 """Tests for the migration compatibility analyzer (``repro.schema.migrate``)."""
 
+import threading
+
 from repro.engine import Engine
 from repro.schema import (
     POLICIES,
@@ -121,6 +123,15 @@ class TestQueryStatuses:
         (query,) = report.queries
         assert query.status == "retypes"
         assert query.types_before != query.types_after
+
+    def test_queries_are_inferred_on_the_calling_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"started thread {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        queries = QUERIES + ("SELECT X WHERE Root = [paper -> X]",)
+        report = analyze(OLD, WIDE, queries=queries)
+        assert [query.status for query in report.queries] == ["survives"] * 3
 
     def test_no_queries_counts_are_zero(self):
         report = analyze(OLD, WIDE)

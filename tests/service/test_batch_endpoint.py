@@ -35,7 +35,8 @@ def service():
 
 @pytest.fixture(scope="module")
 def client(service):
-    return ServiceClient(service.host, service.port)
+    with ServiceClient(service.host, service.port) as client:
+        yield client
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,7 @@ class TestBatchEndpoint:
         assert envelopes[1]["error"]["code"] == "parse-error"
         assert envelopes[2]["ok"] and not envelopes[2]["result"]["satisfiable"]
         summary = result["summary"]
+        assert summary["executor"] == "sequential"
         assert summary["items"] == 3
         assert summary["ok"] == 2
         assert summary["errors"] == 1
@@ -110,8 +112,9 @@ class TestBatchEndpoint:
 class TestBatchLimits:
     def test_over_cap_batches_answer_413(self):
         limits = ServiceLimits(max_batch_items=8)
-        with TypedQueryService(port=0, limits=limits) as svc:
-            client = ServiceClient(svc.host, svc.port)
+        with TypedQueryService(port=0, limits=limits) as svc, ServiceClient(
+            svc.host, svc.port
+        ) as client:
             fp = client.register_schema(SCHEMA_TEXT)["fingerprint"]
             with pytest.raises(ServiceResponseError) as excinfo:
                 client.batch(fp, "satisfiable", [{"query": GOOD_QUERY}] * 9)
@@ -126,8 +129,7 @@ class TestBatchLimits:
         structured 503 for the whole batch, server stays responsive."""
         formula = random_3sat(8, n_clauses=32, rng=random.Random(3))
         schema, query = reduce_formula(formula)
-        with TypedQueryService(port=0) as svc:
-            client = ServiceClient(svc.host, svc.port)
+        with TypedQueryService(port=0) as svc, ServiceClient(svc.host, svc.port) as client:
             fp = client.register_schema(schema_to_string(schema))["fingerprint"]
             items = [{"query": query_to_string(query)}] * 4
             started = time.perf_counter()
@@ -145,9 +147,9 @@ class TestBatchLimits:
 
     @pytest.mark.parametrize("endpoint", ["batch", "satisfiable"])
     def test_timed_out_computation_is_cancelled(self, endpoint):
-        """The 503 used to leave the fan-out threads searching the 3SAT
+        """The 503 used to leave the computation searching the 3SAT
         reduction until the process ran out of memory; the runner now
-        cancels them, so ``detached`` falls back to 0 within seconds."""
+        cancels it, so ``detached`` falls back to 0 within seconds."""
         formula = random_3sat(8, n_clauses=32, rng=random.Random(3))
         schema, query = reduce_formula(formula)
         with TypedQueryService(port=0) as svc, ServiceClient(svc.host, svc.port) as client:

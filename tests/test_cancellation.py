@@ -4,7 +4,7 @@ A timed-out request used to leave its computation running on detached
 threads; on the 3SAT reduction the word search's unordered placement
 subsets grew without bound (several GB within a minute).  The deadline
 runner now cancels the call's token when it detaches it, and the word
-search, its placement enumeration and the ``/batch`` fan-out poll it.
+search, its placement enumeration and the ``/batch`` item loop poll it.
 """
 
 import random
@@ -84,36 +84,34 @@ class TestDecisionProceduresUnwind:
         assert not thread.is_alive()
         assert isinstance(box.get("error"), Cancelled)
 
-    def test_batch_fan_out_raises_instead_of_a_partial_result(self, reduction):
+    def test_cancelled_batch_raises_instead_of_a_partial_result(self, reduction):
+        """Cancelled during its first item, a multi-item batch stops before
+        the next one and raises: the caller gets no partial list."""
         schema, query = reduction
         token = CancelToken()
         items = [{"query": query_to_string(query)}] * 4
         engine = Engine()
         thread, box = _in_thread(
-            lambda: run_items_shared("satisfiable", schema, engine, items, workers=4),
-            token,
+            lambda: run_items_shared("satisfiable", schema, engine, items), token
         )
         time.sleep(0.3)
+        assert thread.is_alive()
         token.cancel()
         thread.join(timeout=5)
         assert not thread.is_alive()
         assert isinstance(box.get("error"), Cancelled)
-        assert not [
-            t for t in threading.enumerate() if t.name.startswith("repro-batch-")
-        ]
-
+        assert "value" not in box
 
     def test_single_item_raises_instead_of_an_error_envelope(self, reduction):
-        """One item takes the plain loop, where the cancelled item used to
-        come back as an ``internal`` error envelope and the call returned
-        normally — a cancelled migration analysis then read as finished."""
+        """The cancelled last item used to come back as an ``internal``
+        error envelope and the call returned normally — a cancelled
+        migration analysis then read as finished."""
         schema, query = reduction
         token = CancelToken()
         items = [{"query": query_to_string(query)}]
         engine = Engine()
         thread, box = _in_thread(
-            lambda: run_items_shared("satisfiable", schema, engine, items, workers=4),
-            token,
+            lambda: run_items_shared("satisfiable", schema, engine, items), token
         )
         time.sleep(0.3)
         assert thread.is_alive()
