@@ -38,10 +38,10 @@ Endpoints (all bodies and responses are JSON envelopes, see
 
 Every decision endpoint accepts a registered ``fingerprint`` plus the
 query/data payload and an optional per-request ``deadline`` in seconds;
-deadline overruns answer a structured 503 ``timeout`` envelope and
-cancel the abandoned computation, which unwinds at its next poll point
-(see :mod:`repro.service.limits`).  Requests are dispatched on, and
-their metrics keyed by, the route template
+the computation runs on the connection thread and unwinds at its first
+poll point past the deadline, answering a structured 503 ``timeout``
+envelope (see :mod:`repro.service.limits`).  Requests are dispatched
+on, and their metrics keyed by, the route template
 :func:`repro.service.routes.resolve` gives (``DELETE /schemas/{fp}``),
 never the raw path.
 """
@@ -243,7 +243,9 @@ class ServiceState:
         if not isinstance(syntax, str):
             raise ServiceError("'syntax' must be a string", code="bad-request")
         wrap = bool(body.get("wrap", False))
-        entry = self.registry.register(text, syntax=syntax, wrap=wrap)
+        entry = self._deadlined(
+            body, lambda: self.registry.register(text, syntax=syntax, wrap=wrap)
+        )
         description = entry.describe()
         description["resident"] = len(self.registry)
         return description
@@ -276,7 +278,9 @@ class ServiceState:
 
             def search() -> dict:
                 try:
-                    witness = find_witness(parse_query(text), entry.schema)
+                    witness = find_witness(
+                        parse_query(text), entry.schema, entry.engine
+                    )
                 except WitnessError as error:
                     return {"witness": None, "witness_error": str(error)}
                 return {"witness": data_to_string(witness) if witness else None}
@@ -439,8 +443,8 @@ class ServiceState:
             )
         started = time.perf_counter()
         # The whole batch runs under ONE deadline and occupies ONE
-        # computation slot; its items are decided in order on that
-        # slot's compute thread over the registry entry's engine.
+        # computation slot; its items are decided in order on this
+        # connection thread over the registry entry's engine.
         results = self._deadlined(
             body,
             lambda: run_items_shared(operation, entry.schema, entry.engine, items),

@@ -27,6 +27,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..automata.ops import relabel, to_regex, trim
 from ..automata.syntax import Regex
+from ..engine import Engine
 from ..query.model import PatternKind, Query
 from ..schema.model import Schema
 from .reach import SchemaReach
@@ -49,7 +50,7 @@ class TraceGrammar:
             ordered fragment; the general checker handles the rest).
     """
 
-    def __init__(self, query: Query, schema: Schema):
+    def __init__(self, query: Query, schema: Schema, engine: Optional[Engine] = None):
         if not query.is_join_free():
             raise ValueError("the trace grammar is defined for join-free queries")
         if query.value_join_vars():
@@ -70,7 +71,8 @@ class TraceGrammar:
                 )
         self.query = query
         self.schema = schema
-        self.reach = SchemaReach(schema)
+        self.reach = SchemaReach(schema, engine)
+        self.engine = self.reach.engine
         self._viable: Dict[str, FrozenSet[str]] = {}
 
     # ------------------------------------------------------------------
@@ -83,8 +85,8 @@ class TraceGrammar:
         if var in self._viable:
             return self._viable[var]
         definition = self.query.definition(var)
-        reachable = self.schema.reachable_types()
-        inhabited = self.schema.inhabited_types()
+        reachable = self.schema.reachable_types(self.engine)
+        inhabited = self.schema.inhabited_types(self.engine)
         if definition is None:
             result = frozenset(
                 tid
@@ -123,7 +125,7 @@ class TraceGrammar:
                     continue
                 if any(not targets for targets in allowed):
                     continue
-                if flat_satisfiable(self.schema, [tid], arms, allowed):
+                if flat_satisfiable(self.schema, [tid], arms, allowed, self.engine):
                     viable.add(tid)
             result = frozenset(viable)
         self._viable[var] = result
@@ -156,7 +158,9 @@ class TraceGrammar:
             raise ValueError(f"{nonterminal.var!r} has no collection definition")
         arms = [arm.path for arm in definition.arms]
         allowed = [self.viable_types(arm.target) for arm in definition.arms]
-        product = trace_product(self.schema, [nonterminal.tid], arms, allowed, self.reach)
+        product = trace_product(
+            self.schema, [nonterminal.tid], arms, allowed, self.reach, self.engine
+        )
 
         def rename(symbol: object) -> Optional[object]:
             if is_marker(symbol):

@@ -31,10 +31,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..automata.nfa import EPS, NFA
 from ..data.model import DataGraph, Edge, Node, NodeKind
+from ..engine import Engine
 from ..query.model import PatternKind, Query
 from ..schema.model import Schema
 from .grammar import TraceGrammar
-from .reach import SchemaReach
 from .traces import is_marker, trace_product
 
 
@@ -42,18 +42,21 @@ class WitnessError(ValueError):
     """Raised when witness construction is asked for an unsupported form."""
 
 
-def find_witness(query: Query, schema: Schema) -> Optional[DataGraph]:
+def find_witness(
+    query: Query, schema: Schema, engine: Optional[Engine] = None
+) -> Optional[DataGraph]:
     """Build a conforming instance on which the query matches, or None.
 
     Supports join-free queries whose collection definitions are ordered
     and use regex arms (value and value-variable definitions are fine).
+    Compiles on ``engine`` (default: the process-default engine).
 
     Raises:
         WitnessError: for joins, unordered definitions, or label-variable
             arms (use the general checker for verdicts on those).
     """
     try:
-        grammar = TraceGrammar(query, schema)
+        grammar = TraceGrammar(query, schema, engine)
     except ValueError as error:
         raise WitnessError(str(error)) from error
     if schema.root not in grammar.viable_types(query.root_var):
@@ -71,9 +74,10 @@ class _WitnessBuilder:
         self.query = query
         self.schema = schema
         self.grammar = grammar
-        self.reach = SchemaReach(schema)
-        self.ranks = schema.inhabitation_ranks()
-        self.edges = schema.possible_edges()
+        self.reach = grammar.reach
+        self.engine = grammar.engine
+        self.ranks = schema.inhabitation_ranks(self.engine)
+        self.edges = schema.possible_edges(self.engine)
         self.nodes: List[Node] = []
         self._counter = itertools.count(1)
 
@@ -102,7 +106,9 @@ class _WitnessBuilder:
         if not arms:
             return self.minimal_subtree(tid)
         allowed = [self.grammar.viable_types(arm.target) for arm in definition.arms]
-        product = trace_product(self.schema, [tid], arms, allowed, self.reach)
+        product = trace_product(
+            self.schema, [tid], arms, allowed, self.reach, self.engine
+        )
         trace = product.shortest_word()
         if trace is None:
             raise WitnessError(
@@ -260,8 +266,8 @@ class _WitnessBuilder:
         )
 
     def _restricted(self, tid: str) -> NFA:
-        nfa = self.schema.compile_regex(tid)
-        inhabited = self.schema.inhabited_types()
+        nfa = self.schema.compile_regex(tid, self.engine)
+        inhabited = self.schema.inhabited_types(self.engine)
         transitions = {}
         for src, arcs in nfa.transitions.items():
             kept = [
@@ -296,7 +302,7 @@ class _WitnessBuilder:
 
     def _shortest_low_rank_word(self, tid: str, rank: int) -> List[Tuple[str, str]]:
         """A shortest content word using only targets of lower rank."""
-        nfa = self.schema.compile_regex(tid)
+        nfa = self.schema.compile_regex(tid, self.engine)
         allowed = {t for t, r in self.ranks.items() if r < rank}
         from collections import deque
 

@@ -25,6 +25,8 @@ from repro.workloads import document_schema
 SCHEMA_TEXT = schema_to_string(document_schema(4))
 GOOD_QUERY = "SELECT X WHERE Root = [paper.title -> X]"
 BAD_QUERY = "((("
+#: A query the 3SAT-reduction schema decides at once.
+CHEAP_3SAT_QUERY = "SELECT X WHERE Root = {v1 -> X}"
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +131,10 @@ class TestBatchLimits:
         structured 503 for the whole batch, server stays responsive."""
         formula = random_3sat(8, n_clauses=32, rng=random.Random(3))
         schema, query = reduce_formula(formula)
-        with TypedQueryService(port=0) as svc, ServiceClient(svc.host, svc.port) as client:
+        limits = ServiceLimits(max_slots=1, slot_wait_s=0.05)
+        with TypedQueryService(port=0, limits=limits) as svc, ServiceClient(
+            svc.host, svc.port
+        ) as client:
             fp = client.register_schema(schema_to_string(schema))["fingerprint"]
             items = [{"query": query_to_string(query)}] * 4
             started = time.perf_counter()
@@ -140,19 +145,22 @@ class TestBatchLimits:
             assert excinfo.value.code == "timeout"
             assert elapsed < 2.5
             assert client.healthz()["status"] == "ok"
-            limits = client.stats()["limits"]
-            assert limits["timeouts"] == 1
-            # The abandoned batch occupied exactly one computation slot.
-            assert limits["detached"] <= 1
+            assert client.stats()["limits"]["timeouts"] == 1
+            # The batch held the one computation slot, and gave it back
+            # with the 503.
+            assert client.satisfiable(fp, CHEAP_3SAT_QUERY)["satisfiable"]
 
     @pytest.mark.parametrize("endpoint", ["batch", "satisfiable"])
     def test_timed_out_computation_is_cancelled(self, endpoint):
         """The 503 used to leave the computation searching the 3SAT
-        reduction until the process ran out of memory; the runner now
-        cancels it, so ``detached`` falls back to 0 within seconds."""
+        reduction until the process ran out of memory; now the search
+        stops at its deadline, and its slot is free when the 503 arrives."""
         formula = random_3sat(8, n_clauses=32, rng=random.Random(3))
         schema, query = reduce_formula(formula)
-        with TypedQueryService(port=0) as svc, ServiceClient(svc.host, svc.port) as client:
+        limits = ServiceLimits(max_slots=1, slot_wait_s=0.05)
+        with TypedQueryService(port=0, limits=limits) as svc, ServiceClient(
+            svc.host, svc.port
+        ) as client:
             fp = client.register_schema(schema_to_string(schema))["fingerprint"]
             with pytest.raises(ServiceResponseError) as excinfo:
                 if endpoint == "batch":
@@ -161,9 +169,5 @@ class TestBatchLimits:
                 else:
                     client.satisfiable(fp, query_to_string(query), deadline=1.0)
             assert excinfo.value.code == "timeout"
-            deadline = time.monotonic() + 5
-            while client.stats()["limits"]["detached"] and time.monotonic() < deadline:
-                time.sleep(0.05)
-            limits = client.stats()["limits"]
-            assert limits["timeouts"] == 1
-            assert limits["detached"] == 0
+            assert client.stats()["limits"]["timeouts"] == 1
+            assert client.satisfiable(fp, CHEAP_3SAT_QUERY)["satisfiable"]

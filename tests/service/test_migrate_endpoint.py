@@ -2,7 +2,6 @@
 
 import json
 import random
-import time
 
 import pytest
 
@@ -10,7 +9,7 @@ from repro.engine import ArtifactStore
 from repro.query import query_to_string
 from repro.reductions import random_3sat, reduce_formula
 from repro.schema import schema_to_string
-from repro.service import SchemaRegistry
+from repro.service import SchemaRegistry, ServiceLimits
 from repro.service.daemon import ServiceState
 
 OLD = """
@@ -205,7 +204,10 @@ class TestMigrateTimedOut:
     def test_nothing_applied_and_no_candidate_blob(self, tmp_path, copies):
         formula = random_3sat(8, n_clauses=32, rng=random.Random(3))
         candidate, query = reduce_formula(formula)
-        state = ServiceState(registry=SchemaRegistry(store=ArtifactStore(root=tmp_path)))
+        state = ServiceState(
+            registry=SchemaRegistry(store=ArtifactStore(root=tmp_path)),
+            limits=ServiceLimits(max_slots=1, slot_wait_s=0.05),
+        )
         # The reduction's query is dead on this schema at once, so only
         # the candidate side of the analysis runs the NP-hard search.
         fingerprint = register(state, "ROOT = [a -> A]; A = string")
@@ -220,10 +222,8 @@ class TestMigrateTimedOut:
         )
         assert status == 503
         assert envelope["error"]["code"] == "timeout"
-        deadline = time.monotonic() + 10
-        while state.runner.stats()["detached"] and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert state.runner.stats()["detached"] == 0
+        # The analysis stopped with the 503: the only slot is free.
+        assert state.runner.call(lambda: "free", 1) == "free"
         assert [entry.fingerprint for entry in state.registry.entries()] == [
             fingerprint
         ]
