@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..cancellation import current_deadline, raise_if_cancelled
 from .nfa import NFA
 from .syntax import Symbol
 
@@ -151,7 +152,12 @@ class DFA:
 
 
 def determinize(nfa: NFA) -> DFA:
-    """Subset construction; the result is total (includes a sink if needed)."""
+    """Subset construction; the result is total (includes a sink if needed).
+
+    The reachable subsets can number 2^n for an n-state NFA, so the
+    construction polls the caller's deadline before expanding each one.
+    """
+    cancel = current_deadline()
     symbols = sorted(nfa.alphabet, key=repr)
     start_set = nfa.initial_states()
     ids: Dict[FrozenSet[int], int] = {start_set: 0}
@@ -159,6 +165,7 @@ def determinize(nfa: NFA) -> DFA:
     transition: Dict[Tuple[int, Symbol], int] = {}
     queue = [start_set]
     while queue:
+        raise_if_cancelled(cancel)
         current = queue.pop()
         current_id = ids[current]
         for symbol in symbols:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..cancellation import current_deadline, raise_if_cancelled
 from .dfa import DFA, determinize
 from .nfa import EPS, NFA
 from .syntax import (
@@ -32,7 +33,11 @@ def intersect(left: NFA, right: NFA) -> NFA:
     The result's alphabet is the union of both alphabets; a symbol outside
     one side's alphabet can never be matched by that side, so such symbols
     simply never appear in accepted words.
+
+    A side can be a determinized automaton with 2^n states, so the product
+    walk polls the caller's deadline before expanding each pair.
     """
+    cancel = current_deadline()
     alphabet = left.alphabet | right.alphabet
     ids: Dict[Tuple[int, int], int] = {}
     transitions: Dict[int, List[Tuple[object, int]]] = {}
@@ -48,6 +53,7 @@ def intersect(left: NFA, right: NFA) -> NFA:
     queue = [(left.start, right.start)]
     seen = {(left.start, right.start)}
     while queue:
+        raise_if_cancelled(cancel)
         lq, rq = queue.pop()
         src = state_id((lq, rq))
         # dict-as-ordered-set: parallel identical arcs in a source NFA would

@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..cancellation import current_token, raise_if_cancelled
+from ..cancellation import current_deadline, raise_if_cancelled
 from ..engine import Engine, EngineArtifact
 from ..schema import Schema
 from .plan import BatchPlan, item_envelope, summarize
@@ -76,19 +76,19 @@ def run_items_shared(
     ``sequential`` executor, ``POST /batch`` (with the registry's
     engine) and the migration analysis share.
 
-    The caller's cancellation token (see :mod:`repro.cancellation`) is
-    polled before each item and after the last; once it is cancelled
+    The caller's deadline (see :mod:`repro.cancellation`) is
+    polled before each item and after the last; once it has passed
     this call raises :class:`~repro.cancellation.Cancelled` rather than
     return a partial result.
     """
-    token = current_token()
+    deadline = current_deadline()
     envelopes = []
     for index, item in enumerate(items):
-        raise_if_cancelled(token)
+        raise_if_cancelled(deadline)
         envelopes.append(item_envelope(index, operation, schema, engine, item))
     # item_envelope turns an item's Cancelled into an error envelope;
     # a cancelled last item must not pass for a finished result.
-    raise_if_cancelled(token)
+    raise_if_cancelled(deadline)
     return envelopes
 
 

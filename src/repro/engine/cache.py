@@ -21,9 +21,12 @@ growth.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Optional, Tuple
+
+from ..cancellation import Cancelled, current_deadline
 
 
 @dataclass(frozen=True)
@@ -113,10 +116,18 @@ class EngineCache:
 
         Thread-safe: the cache lock is held for the whole call, including
         ``compute``, so concurrent callers of the same key block until the
-        first finishes and then take a hit on the stored value.
+        first finishes and then take a hit on the stored value.  A caller
+        with a deadline bound (:mod:`repro.cancellation`) waits for the
+        lock only until that deadline, then raises
+        :class:`~repro.cancellation.Cancelled`.
         """
         kind = self._kind_of(key)
-        with self._lock:
+        deadline = current_deadline()
+        if deadline is None:
+            self._lock.acquire()
+        elif not self._lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
+            raise Cancelled()
+        try:
             if key in self._data:
                 self._hits += 1
                 self._kind_hits[kind] = self._kind_hits.get(kind, 0) + 1
@@ -132,6 +143,8 @@ class EngineCache:
                     self._data.popitem(last=False)
                     self._evictions += 1
             return value
+        finally:
+            self._lock.release()
 
     def snapshot(self, predicate: Callable[[Hashable], bool]) -> Dict[Hashable, object]:
         """A shallow copy of the entries whose key satisfies ``predicate``.

@@ -30,7 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..cancellation import Cancelled, current_token, raise_if_cancelled
+from ..cancellation import Cancelled, current_deadline, raise_if_cancelled
 from ..engine import Engine, prewarm
 from ..schema import Schema, parse_dtd, parse_schema
 from ..schema.migrate import MigrationReport, analyze_migration
@@ -332,8 +332,8 @@ class SchemaRegistry:
 
         Raises:
             UnknownSchemaError: if ``fingerprint`` is not resident.
-            Cancelled: if the calling context's cancellation token was
-                cancelled before the swap (a timed-out ``/migrate``); the
+            Cancelled: if the calling context's deadline passed
+                before the swap (a timed-out ``/migrate``); the
                 registry is left as it was and the candidate's stored
                 artifact is deleted.
         """
@@ -365,7 +365,7 @@ class SchemaRegistry:
             # A caller that gave up (its deadline passed) has already been
             # told the request failed: the registry must not change after
             # that answer, whatever the analysis found.
-            raise_if_cancelled(current_token())
+            raise_if_cancelled(current_deadline())
         except Cancelled:
             self._discard_candidate(new_fingerprint, store_hit)
             raise
