@@ -1,13 +1,13 @@
-"""Replay benchmark: multi-domain traffic against both serving tiers.
+"""Replay benchmark: multi-domain traffic against the daemon.
 
-Boots each tier in-process (threaded, then a 2-worker pool), drives the
-``default`` mix over the ten-domain corpus with the replay harness, then
-runs the cache-pressure scenario against a small-LRU threaded daemon
-with an artifact store so eviction + store reload happen under load.
+Boots the daemon in-process, drives the ``default`` mix over the
+ten-domain corpus with the replay harness, then runs the cache-pressure
+scenario against a small-LRU daemon with an artifact store so eviction +
+store reload happen under load.
 
 Acceptance shape (asserted here, not just reported):
 
-* both tiers finish the steady run with **zero** 5xx/transport errors
+* the steady run finishes with **zero** 5xx/transport errors
   and an overall throughput above a floor (20 rps — an order of
   magnitude below what a laptop does; this guards pathology, not speed);
 * the cache-pressure run shows **nonzero** registry evictions and
@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.engine.store import ArtifactStore
 from repro.replay import ReplayConfig, SLOSpec, run_replay
-from repro.service import PoolService, SchemaRegistry, TypedQueryService
+from repro.service import SchemaRegistry, TypedQueryService
 
 #: Generous gate: the benchmark asserts correctness of the loop, not a
 #: latency budget — CI machines are too noisy to pin milliseconds.
@@ -87,25 +87,16 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="short run")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--out", default="BENCH_replay.json")
     args = parser.parse_args()
     duration = 2.0 if args.smoke else 8.0
 
-    print(f"threaded tier: default mix, {duration}s")
+    print(f"steady: default mix, {duration}s")
     with TypedQueryService() as service:
-        threaded = _steady(service, duration, args.seed)
+        steady = _steady(service, duration, args.seed)
     print(
-        f"  {threaded['requests']} requests, {threaded['rps']} rps, "
-        f"error_rate={threaded['error_rate']}"
-    )
-
-    print(f"pool tier ({args.workers} workers): same load")
-    with PoolService(workers=args.workers) as service:
-        pool = _steady(service, duration, args.seed)
-    print(
-        f"  {pool['requests']} requests, {pool['rps']} rps, "
-        f"error_rate={pool['error_rate']}"
+        f"  {steady['requests']} requests, {steady['rps']} rps, "
+        f"error_rate={steady['error_rate']}"
     )
 
     print("cache-pressure: LRU bound", PRESSURE_LRU_BOUND)
@@ -124,23 +115,21 @@ def main() -> int:
         "duration_s": duration,
         "mix": "default",
         "slo": BENCH_SLO.as_dict(),
-        "threaded": threaded,
-        "pool": pool,
+        "steady": steady,
         "cache_pressure": pressure,
     }
     Path(args.out).write_text(json.dumps(point, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
 
     failures = []
-    for tier, numbers in (("threaded", threaded), ("pool", pool)):
-        if numbers["exit_code"] == 2:
-            failures.append(f"{tier} tier violated the benchmark SLO")
-        if numbers["errors_5xx"]:
-            failures.append(f"{tier} tier saw {numbers['errors_5xx']} 5xx")
-        if len(numbers["domains"]) < 10:
-            failures.append(
-                f"{tier} tier exercised only {len(numbers['domains'])} domains"
-            )
+    if steady["exit_code"] == 2:
+        failures.append("the steady run violated the benchmark SLO")
+    if steady["errors_5xx"]:
+        failures.append(f"the steady run saw {steady['errors_5xx']} 5xx")
+    if len(steady["domains"]) < 10:
+        failures.append(
+            f"the steady run exercised only {len(steady['domains'])} domains"
+        )
     if pressure["evictions"] <= 0:
         failures.append("cache pressure produced no registry evictions")
     if pressure["store_hits"] <= 0:
@@ -151,7 +140,7 @@ def main() -> int:
         for failure in failures:
             print("FAIL:", failure, file=sys.stderr)
         return 1
-    print("ok: both tiers and the cache-pressure loop clear the replay bar")
+    print("ok: the steady run and the cache-pressure loop clear the replay bar")
     return 0
 
 

@@ -555,29 +555,19 @@ def cmd_warm(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_serve(args: argparse.Namespace) -> Outcome:
+    import os as _os
+
+    from .engine import BACKEND_ENV_VAR
     from .service import SchemaRegistry, ServiceLimits, serve
 
+    if args.backend:
+        # Every schema engine the daemon builds resolves its backend here.
+        _os.environ[BACKEND_ENV_VAR] = args.backend
     limits = ServiceLimits(
         default_deadline_s=args.deadline,
         max_deadline_s=max(args.deadline, args.max_deadline),
         max_body_bytes=args.max_body_bytes,
     )
-    if args.workers:
-        # Pool mode: each worker builds its own registry over the shared
-        # store, so the frontend holds no registry at all.
-        from .service.pool import serve_pool
-
-        store = _resolve_store(args)
-        serve_pool(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            store_dir=store.dir if store is not None else None,
-            backend=getattr(args, "backend", None),
-            limits=limits,
-            max_schemas=args.max_schemas,
-        )
-        return EXIT_OK, {"served": True}
     store = _resolve_store(args)
     registry = SchemaRegistry(max_schemas=args.max_schemas, store=store)
     if store is not None and not args.json:
@@ -923,14 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--host", default="127.0.0.1")
     serve_cmd.add_argument("--port", type=int, default=8421)
     serve_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="pool mode: route requests by schema fingerprint to N "
-        "persistent worker processes behind an async frontend "
-        "(0 = single-process threaded mode)",
-    )
-    serve_cmd.add_argument(
         "--max-schemas",
         type=int,
         default=64,
@@ -968,8 +950,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("nfa", "compiled"),
         default=None,
-        help="automata backend for the artifact store "
-        "(default: REPRO_BACKEND env var, then 'compiled')",
+        help="automata backend of every schema engine the daemon builds, "
+        "and of the artifact store (default: REPRO_BACKEND env var, "
+        "then 'compiled')",
     )
 
     replay_cmd = add_command(

@@ -33,8 +33,9 @@ from .cache import CacheStats, EngineCache
 #: The automata backends an engine can run its decision walks on.
 BACKENDS: Tuple[str, ...] = ("nfa", "compiled")
 
-#: Environment override for the default backend (worker processes and
-#: benchmarks set it so child engines inherit the parent's choice).
+#: Environment override for the default backend (``repro serve
+#: --backend`` and benchmarks set it so every engine they build inherits
+#: the choice).
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: Either side of the runner contract (see repro.automata.compiled):
@@ -286,7 +287,8 @@ class Engine:
 
         No-op (returns None) without an attached store; otherwise returns
         the blob path.  Call after a cold compile so the next process —
-        daemon restart, pool worker, ``repro warm`` consumer — starts warm.
+        daemon restart, batch process worker, ``repro warm`` consumer —
+        starts warm.
         """
         if self.store is None:
             return None

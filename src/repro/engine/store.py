@@ -3,8 +3,9 @@
 The decision procedures are pure functions of the schema, so their
 compiled form (dense transition tables, inhabited sets, schema graphs —
 everything an :class:`~repro.engine.EngineArtifact` carries) is cacheable
-*forever*: across requests, across daemon restarts, across process-pool
-workers.  :class:`ArtifactStore` is that cache's durable tier.
+*forever*: across requests, across daemon restarts, across the batch
+executor's worker processes.  :class:`ArtifactStore` is that cache's
+durable tier.
 
 Layout
 ------

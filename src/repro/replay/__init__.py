@@ -1,6 +1,6 @@
 """Replay traffic harness: domain workloads vs. a running daemon.
 
-``repro replay`` drives a live service (threaded or pool tier) with a
+``repro replay`` drives a live ``repro serve`` daemon with a
 weighted traffic mix over the multi-domain corpora, records exact
 client-side latency percentiles per endpoint and per domain, compares
 the server's bucket-interpolated ``/stats`` percentiles alongside, and

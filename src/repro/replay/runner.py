@@ -9,10 +9,6 @@ being absorbed by back-pressure), record every sample client-side, then
 snapshot the server's ``/stats``, assemble the report, write
 ``BENCH_replay.json``, and evaluate the SLO gate.
 
-Both serving tiers speak the same HTTP surface, so the runner does not
-care whether ``--workers`` was passed to ``repro serve``; the report
-just records which tier it hit (from ``/healthz``'s ``mode``).
-
 The ``cache-pressure`` scenario reads the registry LRU bound from
 ``/stats``, mints *more* distinct schemas than fit (via
 :func:`repro.workloads.domains.pressure_variants`), and keeps traffic
@@ -256,7 +252,6 @@ def run_replay(config: ReplayConfig) -> Tuple[int, dict]:
     """
     mix = resolve_mix(config.mix)
     client = ServiceClient(config.host, config.port, timeout=config.request_timeout)
-    health = client.healthz()
     stats_before = client.stats()
 
     if config.scenario == "cache-pressure":
@@ -297,7 +292,7 @@ def run_replay(config: ReplayConfig) -> Tuple[int, dict]:
 
     report = _build_report(
         config, mix, corpora, merged, elapsed_s, started_unix,
-        health, stats_before, stats_after,
+        stats_before, stats_after,
     )
     violations = evaluate_slo(config.slo, report)
     exit_code = gate_exit_code(violations, report)
@@ -313,19 +308,6 @@ def run_replay(config: ReplayConfig) -> Tuple[int, dict]:
     return exit_code, report
 
 
-def _server_endpoint_stats(stats: dict) -> dict:
-    """The server-side per-endpoint snapshot, whichever tier answered.
-
-    The threaded tier's request metrics live under ``service``; the pool
-    tier's frontend metrics are ``service`` and the merged worker-side
-    metrics are ``worker_service`` (the ones with decision latencies).
-    """
-    worker_service = stats.get("worker_service")
-    if isinstance(worker_service, dict) and worker_service.get("endpoints"):
-        return worker_service.get("endpoints", {})
-    return (stats.get("service") or {}).get("endpoints", {})
-
-
 def _build_report(
     config: ReplayConfig,
     mix: TrafficMix,
@@ -333,7 +315,6 @@ def _build_report(
     merged: ReplayRecorder,
     elapsed_s: float,
     started_unix: float,
-    health: dict,
     stats_before: dict,
     stats_after: dict,
 ) -> dict:
@@ -344,7 +325,6 @@ def _build_report(
         "kind": "replay",
         "started_unix": round(started_unix, 3),
         "duration_s": round(elapsed_s, 3),
-        "server_mode": health.get("mode", "unknown"),
         "config": {
             "host": config.host,
             "port": config.port,
@@ -362,7 +342,7 @@ def _build_report(
         "endpoints": merged.endpoints_block(elapsed_s),
         "domains": merged.domains_block(elapsed_s),
         "server": {
-            "endpoints": _server_endpoint_stats(stats_after),
+            "endpoints": (stats_after.get("service") or {}).get("endpoints", {}),
             "registry": registry_after,
         },
     }

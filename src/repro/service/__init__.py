@@ -7,17 +7,10 @@ A stdlib-only HTTP/JSON server (:class:`TypedQueryService` /
 type checking, inference, feedback, classification, conformance, and
 evaluation requests pay schema parsing and automata construction once
 per schema, not once per request.  See ``docs/service.md``.
-
-Two serving tiers share that state machine: the single-process threaded
-tier above, and a multi-process pool tier (:class:`PoolService` /
-``repro serve --workers N``) that routes requests by schema fingerprint
-to persistent worker processes warmed from the artifact store — see
-:mod:`repro.service.pool`.
 """
 
 from .client import ServiceClient, ServiceResponseError
 from .daemon import ServiceState, TypedQueryService, serve
-from .pool import CompilerPool, PoolService, WorkerCrashed, serve_pool, shard_of
 from .envelope import (
     ENVELOPE_VERSION,
     ERROR_CODES,
@@ -39,12 +32,10 @@ from .registry import RegisteredSchema, SchemaRegistry, UnknownSchemaError, prew
 __all__ = [
     "ENVELOPE_VERSION",
     "ERROR_CODES",
-    "CompilerPool",
     "DeadlineExceeded",
     "DeadlineRunner",
     "LATENCY_BUCKETS_MS",
     "PayloadTooLarge",
-    "PoolService",
     "RegisteredSchema",
     "SchemaRegistry",
     "ServiceBusy",
@@ -56,12 +47,9 @@ __all__ = [
     "ServiceState",
     "TypedQueryService",
     "UnknownSchemaError",
-    "WorkerCrashed",
     "as_service_error",
     "error_envelope",
     "ok_envelope",
     "prewarm",
     "serve",
-    "serve_pool",
-    "shard_of",
 ]

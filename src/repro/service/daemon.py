@@ -5,9 +5,9 @@ Stdlib only.  :class:`ServiceState` is the transport-independent core —
 — and :class:`TypedQueryService` serves it from a
 ``socketserver.ThreadingTCPServer`` (one daemon thread per connection,
 so a hung computation never blocks ``/healthz``) whose handler runs a
-keep-alive loop over the HTTP/1.1 framing shared with the pool tier
-(:mod:`repro.service.framing`): request lines are read off a buffered
-socket file, and each response goes out in one send.
+keep-alive loop over the HTTP/1.1 framing of :mod:`repro.service.framing`:
+request lines are read off a buffered socket file, and each response
+goes out in one send.
 
 Endpoints (all bodies and responses are JSON envelopes, see
 ``docs/service.md`` for the full reference):
@@ -532,18 +532,32 @@ class ServiceState:
         }
 
 
+#: Seconds one socket read or write may wait before the connection is
+#: closed: an idle keep-alive peer, a head or body that stops arriving,
+#: or a client that stops reading its response.  The computation itself
+#: runs between reads and is bounded by the request deadline instead.
+CONNECTION_TIMEOUT_S = 30.0
+
+
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: a keep-alive loop over :meth:`ServiceState.handle`.
 
     Framing is :class:`~repro.service.framing.RequestHead`'s; this loop
     only reads lines and bodies off the buffered socket file and sends
-    each response in one ``sendall``.  A peer that hangs up mid-request
-    ends the loop quietly: no dispatch, no metrics, no traceback.
+    each response in one ``sendall``.  A peer that hangs up mid-request,
+    or leaves a read or write waiting :data:`CONNECTION_TIMEOUT_S`, ends
+    the loop quietly: no dispatch, no metrics, no traceback.
     """
 
     #: Responses are one small write after a tiny request; with Nagle on,
     #: every keep-alive roundtrip eats a ~40ms delayed-ACK stall.
     disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        # Read per connection, so a test can shorten it; the base class
+        # puts it on the socket, and a wait past it raises TimeoutError.
+        self.timeout = CONNECTION_TIMEOUT_S
+        super().setup()
 
     def handle(self) -> None:
         try:

@@ -35,7 +35,6 @@ ERROR_CODES = (
     "payload-too-large",
     "timeout",          # per-request deadline exceeded
     "busy",             # no worker slot free within the deadline
-    "worker-crashed",   # a pool worker died mid-request (it is respawned)
     "unsupported",      # operation undefined for this input (e.g. joins)
     "internal",
 )

@@ -1,10 +1,8 @@
-"""HTTP/1.1 framing shared by both serving tiers.
+"""HTTP/1.1 framing: the small slice of HTTP/1.1 the daemon speaks.
 
-The threaded tier (:mod:`repro.service.daemon`) and the pool frontend
-(:mod:`repro.service.pool`) speak the same small slice of HTTP/1.1.
-Each reads bytes its own way — a blocking buffered socket file, an
-asyncio stream — and hands every raw line to a :class:`RequestHead`,
-which owns every framing decision:
+The daemon (:mod:`repro.service.daemon`) reads raw lines off a buffered
+socket file and hands each to a :class:`RequestHead`, which owns every
+framing decision:
 
 * **Head caps.**  A line may hold at most :data:`MAX_LINE_BYTES` (64 KiB,
   terminator included) and a head at most :data:`MAX_HEADER_LINES`
@@ -25,8 +23,8 @@ which owns every framing decision:
   it.
 * **Hang-ups.**  A peer that closes or resets the connection before the
   head or the body is complete raises :class:`ConnectionClosed` (or the
-  tier's ``OSError``): the tier closes quietly, with no dispatch and no
-  metrics.
+  socket's ``OSError``): the daemon closes quietly, with no dispatch and
+  no metrics.
 * **Responses.**  :meth:`RequestHead.response` renders status line,
   ``Server``, ``Date`` (formatted once per second), ``Content-Type``,
   ``Content-Length`` and, when closing, ``Connection: close`` into one
@@ -55,11 +53,11 @@ MAX_LINE_BYTES = 65536
 #: Most header lines one request head may carry (``http.server``'s cap).
 MAX_HEADER_LINES = 100
 
-#: Listen backlog of both tiers: a burst of connects waits in the kernel's
-#: accept queue instead of being dropped (socketserver's default is 5).
+#: Listen backlog: a burst of connects waits in the kernel's accept
+#: queue instead of being dropped (socketserver's default is 5).
 LISTEN_BACKLOG = socket.SOMAXCONN
 
-#: The ``Server`` header both tiers send.
+#: The ``Server`` header of every response.
 SERVER_NAME = "repro-typed-query/1"
 
 #: The interim response that releases a client waiting on ``Expect``.

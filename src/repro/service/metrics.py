@@ -21,12 +21,17 @@ client-side percentiles from raw samples and reports both.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Histogram bucket upper bounds, in milliseconds (last bucket = +inf).
+#: Histogram bucket upper bounds, in milliseconds (last bucket = +inf): a
+#: 1-2.5-5 series from 0.01 ms to 10 s, fine enough that a decision-memo
+#: hit (about 0.01 ms) is not interpolated across a 1-ms bucket.
 LATENCY_BUCKETS_MS: Tuple[float, ...] = (
-    1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
+    0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
+    1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
+    1000.0, 2500.0, 5000.0, 10000.0,
 )
 
 #: The percentile points every latency snapshot reports.
@@ -92,12 +97,8 @@ class _EndpointMetrics:
             self.errors += 1
         key = str(status)
         self.by_status[key] = self.by_status.get(key, 0) + 1
-        index = len(LATENCY_BUCKETS_MS)
-        for i, bound in enumerate(LATENCY_BUCKETS_MS):
-            if elapsed_ms <= bound:
-                index = i
-                break
-        self.buckets[index] += 1
+        # The first bucket whose upper bound is >= elapsed_ms.
+        self.buckets[bisect.bisect_left(LATENCY_BUCKETS_MS, elapsed_ms)] += 1
         self.total_ms += elapsed_ms
         self.max_ms = max(self.max_ms, elapsed_ms)
 
@@ -158,7 +159,7 @@ class ServiceMetrics:
     def observe(self, endpoint: str, status: int, elapsed_s: float) -> None:
         """Record one finished request against ``endpoint``.
 
-        Both serving tiers pass the request's route template (see
+        The daemon passes the request's route template (see
         :func:`repro.service.routes.resolve`), never its raw path, so
         the table holds one entry per route.
 

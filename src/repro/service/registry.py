@@ -28,7 +28,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..cancellation import Cancelled, current_deadline, raise_if_cancelled
 from ..engine import Engine, prewarm
@@ -141,9 +141,8 @@ class RegisteredSchema:
 def parse_schema_text(text: str, syntax: str = "scmdl", wrap: bool = False) -> Schema:
     """Parse schema ``text`` in the named surface ``syntax``.
 
-    The one place registration, migration, and the pool frontend (which
-    must fingerprint a schema to route the registration to its shard
-    owner) agree on what syntaxes exist and how an unknown one fails.
+    The one place registration and migration agree on what syntaxes
+    exist and how an unknown one fails.
     """
     if syntax == "scmdl":
         return parse_schema(text)
@@ -172,18 +171,12 @@ class SchemaRegistry:
         engine_max_entries: Optional[int] = 4096,
         store=None,
         restore: bool = True,
-        restore_filter: Optional[Callable[[str], bool]] = None,
     ):
         if max_schemas <= 0:
             raise ValueError("max_schemas must be positive")
         self.max_schemas = max_schemas
         self.engine_max_entries = engine_max_entries
         self.store = store
-        #: Restrict restore-on-construction to fingerprints this predicate
-        #: accepts.  Pool workers pass their shard predicate so each worker
-        #: warms only the fingerprints it will be routed (plus any explicit
-        #: reassignments), instead of every artifact in the shared store.
-        self.restore_filter = restore_filter
         self._entries: "OrderedDict[str, RegisteredSchema]" = OrderedDict()
         self._lock = threading.Lock()
         self._registered = 0
@@ -210,8 +203,6 @@ class SchemaRegistry:
         there, read as a miss) and simply is not restored.
         """
         fingerprints = self.store.fingerprints()  # LRU order, oldest first
-        if self.restore_filter is not None:
-            fingerprints = [fp for fp in fingerprints if self.restore_filter(fp)]
         if len(fingerprints) > self.max_schemas:
             fingerprints = fingerprints[-self.max_schemas :]
         for fingerprint in fingerprints:
@@ -259,8 +250,14 @@ class SchemaRegistry:
                 return existing
 
         # Compile outside the lock: registrations of distinct schemas
-        # must not serialize on each other's automata construction.
-        engine = Engine(max_entries=self.engine_max_entries, store=self.store)
+        # must not serialize on each other's automata construction.  With
+        # a store, the engine speaks the store's backend, or its artifact
+        # could not be persisted there.
+        engine = Engine(
+            max_entries=self.engine_max_entries,
+            backend=self.store.backend if self.store is not None else None,
+            store=self.store,
+        )
         info: Dict[str, object] = {}
         if engine.warm_from_store(schema):
             # Durable tier hit: the compiled working set was installed

@@ -1,13 +1,13 @@
-"""The routes both serving tiers dispatch, and the metrics keys they record.
+"""The routes the daemon dispatches, and the metrics keys it records.
 
 :func:`resolve` maps a request's method and path to a :class:`Route`:
 its template — ``POST /satisfiable``, ``DELETE /schemas/{fp}`` — and,
 for the per-schema routes, the fingerprint taken from the path.  The
-threaded daemon and the pool frontend both dispatch on the template and
-record their metrics under it, so what a request is counted as cannot
-drift from where it was sent, and the per-endpoint table stays bounded
-however many distinct paths clients send: every request that matches no
-route resolves to :data:`UNMATCHED`, answered by :func:`unmatched_error`.
+daemon dispatches on the template and records its metrics under it, so
+what a request is counted as cannot drift from where it was sent, and
+the per-endpoint table stays bounded however many distinct paths
+clients send: every request that matches no route resolves to
+:data:`UNMATCHED`, answered by :func:`unmatched_error`.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ Realism knobs:
 * **Hash-seed independence** — everything iterates sorted or
   insertion-ordered structures, so equal seeds produce *byte-identical*
   corpus NDJSON across processes regardless of ``PYTHONHASHSEED``
-  (a regression test holds this; the artifact store and the pool tier's
-  shard routing both rely on cross-process fingerprint agreement).
+  (a regression test holds this; the artifact store relies on
+  cross-process fingerprint agreement).
 """
 
 from __future__ import annotations

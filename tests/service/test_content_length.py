@@ -1,8 +1,5 @@
-"""The HTTP/1.1 framing both serving tiers share, over raw sockets.
-
-Every socket-level test runs against the threaded tier and the pool
-frontend, which frame requests through the same
-:mod:`repro.service.framing`.  The contracts pinned here:
+"""The daemon's HTTP/1.1 framing (:mod:`repro.service.framing`), over raw
+sockets.  The contracts pinned here:
 
 * a malformed or negative ``Content-Length`` answers a structured 400
   before any body byte is read (it used to raise an uncaught
@@ -31,7 +28,7 @@ import time
 
 import pytest
 
-from repro.service import PoolService, ServiceError, TypedQueryService
+from repro.service import ServiceError, TypedQueryService
 from repro.service.framing import MAX_HEADER_LINES, MAX_LINE_BYTES, parse_content_length
 
 #: Generous ceiling for "the server answered instead of hanging".  The
@@ -42,18 +39,10 @@ SOCKET_TIMEOUT_S = 5.0
 SCHEMA = "DOC = [(paper -> P)*]; P = [title -> T]; T = string"
 
 
-@pytest.fixture(scope="module", params=["threaded", "pool"])
-def service(request):
-    if request.param == "threaded":
-        server = TypedQueryService(port=0)
-    else:
-        server = PoolService(workers=2)
-    with server as svc:
+@pytest.fixture(scope="module")
+def service():
+    with TypedQueryService(port=0) as svc:
         yield svc
-
-
-def _limits(service):
-    return service.state.limits if hasattr(service, "state") else service.limits
 
 
 def raw_request(host: str, port: int, request: bytes) -> bytes:
@@ -129,23 +118,17 @@ def assert_closed(reader) -> None:
     assert reader.read() == b""
 
 
-def endpoint_tables(service) -> list:
-    """Every per-endpoint metrics table the tier keeps."""
+def endpoint_table(service) -> dict:
+    """The daemon's per-endpoint metrics table."""
     with connect(service) as sock:
         sock.sendall(get("/stats"))
         status, _, body = read_response(sock.makefile("rb"))
     assert status == 200
-    stats = json.loads(body)["result"]
-    tables = [stats["service"]["endpoints"]]
-    if "worker_service" in stats:
-        tables.append(stats["worker_service"]["endpoints"])
-    return tables
+    return json.loads(body)["result"]["service"]["endpoints"]
 
 
 def requests_for(service, route: str) -> int:
-    return sum(
-        table.get(route, {}).get("requests", 0) for table in endpoint_tables(service)
-    )
+    return endpoint_table(service).get(route, {}).get("requests", 0)
 
 
 class TestParseContentLength:
@@ -224,7 +207,7 @@ class TestDaemonContentLength:
             assert b"400" in data.split(b"\r\n", 1)[0]
 
     def test_oversized_length_is_413_without_reading_body(self, service):
-        declared = _limits(service).max_body_bytes + 1
+        declared = service.state.limits.max_body_bytes + 1
         # No body bytes are sent: a server that tried to read the declared
         # length first would block; the correct server answers immediately.
         raw = raw_request(
@@ -437,7 +420,7 @@ class TestExpectContinue:
         assert json.loads(answer)["result"]["fingerprint"]
 
     def test_oversized_body_is_refused_without_continue(self, service):
-        declared = _limits(service).max_body_bytes + 1
+        declared = service.state.limits.max_body_bytes + 1
         with connect(service) as sock:
             sock.sendall(
                 b"POST /schemas HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
@@ -521,18 +504,17 @@ class TestMetricRoutes:
                 sock.sendall(post(f"/schemas/fp{index}/migrate", {"schema": SCHEMA}))
                 statuses = [read_response(reader)[0] for _ in range(4)]
                 assert statuses == [404, 404, 404, 404]
-        for table in endpoint_tables(service):
-            assert len(table) <= 12, sorted(table)
-            for key in table:
-                assert "fp" not in key.replace("{fp}", ""), key
-        tables = endpoint_tables(service)
-        assert any(t.get("unmatched", {}).get("requests", 0) >= 40 for t in tables)
+        table = endpoint_table(service)
+        assert len(table) <= 12, sorted(table)
+        for key in table:
+            assert "fp" not in key.replace("{fp}", ""), key
         for route in (
+            "unmatched",
             "DELETE /schemas/{fp}",
             "GET /schemas/{fp}/history",
             "POST /schemas/{fp}/migrate",
         ):
-            assert any(t.get(route, {}).get("requests", 0) >= 40 for t in tables), route
+            assert table.get(route, {}).get("requests", 0) >= 40, route
 
     @pytest.mark.parametrize(
         "method, target, status, code",
@@ -547,8 +529,8 @@ class TestMetricRoutes:
         self, service, method, target, status, code
     ):
         """Dispatch and the metrics key come from one resolver: a request
-        counted as ``unmatched`` is refused once, by the tier that took it,
-        and never reaches an endpoint handler."""
+        counted as ``unmatched`` is refused once and never reaches an
+        endpoint handler."""
         before = requests_for(service, "unmatched")
         request = b"%s %s HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}" % (
             method.encode(),

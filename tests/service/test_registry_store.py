@@ -96,6 +96,20 @@ class TestStatsSurface:
         for counter in ("hits", "misses", "evictions", "invalidations", "corrupt"):
             assert counter in store_stats
 
+    def test_registration_over_an_nfa_store_builds_an_nfa_engine(self, tmp_path):
+        # The engine used to take the process default backend, whose
+        # artifact an nfa store refused: every registration answered 400.
+        state = ServiceState(
+            registry=SchemaRegistry(store=ArtifactStore(root=tmp_path, backend="nfa"))
+        )
+        status, envelope = state.handle(
+            "POST", "/schemas", json.dumps({"schema": SCHEMA_TEXT}).encode()
+        )
+        assert status == 200, envelope
+        fingerprint = envelope["result"]["fingerprint"]
+        engines = state.handle("GET", "/stats", b"")[1]["result"]["registry"]["engines"]
+        assert engines[fingerprint]["backend"] == "nfa"
+
     def test_restored_registry_serves_satisfiable_over_http_state(self, tmp_path):
         store = ArtifactStore(root=tmp_path)
         fingerprint = (

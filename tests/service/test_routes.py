@@ -1,7 +1,7 @@
 """Unit tests for `repro.service.routes`: one resolver for dispatch and keys.
 
-Both serving tiers dispatch on :func:`~repro.service.routes.resolve` and
-record metrics under its template, so the per-endpoint table holds one
+The daemon dispatches on :func:`~repro.service.routes.resolve` and
+records metrics under its template, so the per-endpoint table holds one
 entry per route however many distinct paths clients send, and a request
 is never counted as one route while being sent to another.
 """

@@ -1,7 +1,7 @@
 """Tests for the multi-domain replay corpora (`repro.workloads.domains`).
 
 The load-bearing property is determinism: the replay harness, the CI
-smoke job, and the pool tier's shard routing all assume that a given
+smoke job, and the artifact store all assume that a given
 ``(domain, seed, scale)`` names *one* corpus, byte-for-byte, in every
 process — including processes with different ``PYTHONHASHSEED``.
 """
