@@ -33,6 +33,8 @@ from repro.service import ServiceClient, ServiceLimits, TypedQueryService
 from repro.service.registry import SchemaRegistry
 from repro.typing import find_witness
 
+pytestmark = pytest.mark.usefixtures("frozen_heap")
+
 DEADLINE = 0.3
 #: The probe's answer must arrive within this; the deadline plus CI headroom.
 ANSWER_WITHIN = 0.5
