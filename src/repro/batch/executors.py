@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -173,6 +172,10 @@ def run_items_process(
     method, where initargs would otherwise reach workers by memory
     inheritance and never exercise pickling.)
     """
+    # Imported here, not at module level: the daemon imports this package,
+    # and concurrent.futures.process would load multiprocessing into it.
+    from concurrent.futures import ProcessPoolExecutor
+
     schema, engine = plan.compile()
     payload = None
     if schema is not None:

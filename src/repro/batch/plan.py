@@ -11,8 +11,14 @@ algorithms disappears.  The plan carries:
 * ``schema_text`` — ScmDL or DTD source, compiled once per executor
   worker (``evaluate`` is the one schema-optional operation);
 * ``items`` — JSON objects, one decision each, with operation-specific
-  fields mirroring the service endpoints (``query``, ``data``/``xml``,
-  ``pins``, ``assignment``, ``limit``, ``total``).
+  fields (``query``, ``data``/``xml``, ``pins``, ``assignment``,
+  ``limit``, ``total``).
+
+:func:`run_item` is the one operation table: the daemon decides its
+single-request endpoints (``/satisfiable``, ``/check``, ``/infer``,
+``/classify``, and ``/validate`` as ``conforms``) through it too, so a
+request body and the same ``/batch`` item are decoded by the same field
+helpers and get the same answer.
 
 Per-item failures are **isolated**: :func:`item_envelope` renders every
 outcome as ``{"index", "ok", "result", "error"}`` using the same error
@@ -32,7 +38,12 @@ from ..data import from_xml, parse_data
 from ..engine import Engine, prewarm, resolve_backend
 from ..query import evaluate, parse_query
 from ..schema import Schema, find_type_assignment, parse_dtd, parse_schema
-from ..service.envelope import ServiceError, as_service_error, positive_int_field
+from ..service.envelope import (
+    ServiceError,
+    as_service_error,
+    bool_field,
+    positive_int_field,
+)
 from ..typing import check_total_types, check_types, classify, is_satisfiable
 from ..typing.inference import iterate_inferred_types
 
@@ -100,16 +111,6 @@ class BatchPlan:
         """
         return compile_schema(self.schema_text, self.syntax, self.wrap, self.backend)
 
-    def parse_schema_only(self) -> Optional[Schema]:
-        """Parse (without pre-warming) to surface syntax errors early —
-        used before shipping the text to pool workers, where a parse
-        failure would surface as an opaque broken-pool error."""
-        if self.schema_text is None:
-            return None
-        if self.syntax == "dtd":
-            return parse_dtd(self.schema_text, wrap=self.wrap)
-        return parse_schema(self.schema_text)
-
 
 def compile_schema(
     schema_text: Optional[str],
@@ -140,7 +141,8 @@ def run_item(
     """Run one decision; returns the operation's result payload.
 
     Raises :class:`ServiceError` (or a parse error) on a bad item — the
-    caller maps it to a per-item error envelope.
+    caller maps it to a per-item error envelope, or the daemon to the
+    request's error response.
     """
     if operation not in OPERATIONS:
         raise ServiceError(
@@ -159,16 +161,21 @@ def run_item(
     return _HANDLERS[operation](schema, engine, item)
 
 
-def _string_field(item: Dict[str, Any], field: str) -> str:
+def string_field(item: Dict[str, Any], field: str) -> str:
+    """The required non-empty string field ``field``."""
     value = item.get(field)
     if not isinstance(value, str) or not value:
-        raise ServiceError(
-            f"item must carry a string field {field!r}", code="bad-request"
-        )
+        raise ServiceError(f"{field!r} must be a non-empty string", code="bad-request")
     return value
 
 
-def _pins_field(item: Dict[str, Any], field: str = "pins") -> Dict[str, str]:
+def query_field(item: Dict[str, Any]):
+    """The parsed ``query`` field."""
+    return parse_query(string_field(item, "query"))
+
+
+def pins_field(item: Dict[str, Any], field: str = "pins") -> Dict[str, str]:
+    """The optional ``pins`` (or ``assignment``) map; absent is ``{}``."""
     pins = item.get(field) or {}
     if not isinstance(pins, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in pins.items()
@@ -180,19 +187,34 @@ def _pins_field(item: Dict[str, Any], field: str = "pins") -> Dict[str, str]:
     return pins
 
 
-def _graph_field(item: Dict[str, Any]):
+def graph_field(item: Dict[str, Any]):
+    """The parsed data graph: ``xml`` if it is a string, else ``data``."""
     if isinstance(item.get("xml"), str):
         return from_xml(item["xml"])
     if isinstance(item.get("data"), str):
         return parse_data(item["data"])
     raise ServiceError(
-        "item must carry a data graph: 'data' (Table-1 text) or 'xml'",
+        "a data graph is required: a string field 'data' (Table-1 text) or 'xml'",
         code="bad-request",
     )
 
 
+def decision_key(operation: str, item: Dict[str, Any]) -> tuple:
+    """The fields a ``satisfiable`` or ``infer`` result depends on, validated.
+
+    The daemon memoizes these two decisions per registered schema under
+    this key, and checks the key's fields before the memo lookup, so a
+    malformed request is rejected whether or not the memo would answer.
+    """
+    text = string_field(item, "query")
+    key = (operation, text, tuple(sorted(pins_field(item).items())))
+    if operation == "infer":
+        key += (positive_int_field(item, "limit"),)
+    return key
+
+
 def _op_conforms(schema: Schema, engine: Engine, item: Dict[str, Any]) -> dict:
-    graph = _graph_field(item)
+    graph = graph_field(item)
     assignment = find_type_assignment(graph, schema, engine)
     return {
         "valid": assignment is not None,
@@ -201,17 +223,15 @@ def _op_conforms(schema: Schema, engine: Engine, item: Dict[str, Any]) -> dict:
 
 
 def _op_satisfiable(schema: Schema, engine: Engine, item: Dict[str, Any]) -> dict:
-    query = parse_query(_string_field(item, "query"))
-    pins = _pins_field(item)
+    query = query_field(item)
+    pins = pins_field(item)
     return {"satisfiable": bool(is_satisfiable(query, schema, pins or None, engine))}
 
 
 def _op_check(schema: Schema, engine: Engine, item: Dict[str, Any]) -> dict:
-    query = parse_query(_string_field(item, "query"))
-    assignment = _pins_field(item, "assignment")
-    total = item.get("total", False)
-    if not isinstance(total, bool):
-        raise ServiceError("'total' must be a boolean", code="bad-request")
+    query = query_field(item)
+    assignment = pins_field(item, "assignment")
+    total = bool_field(item, "total")
     checker = check_total_types if total else check_types
     try:
         verdict = checker(query, schema, assignment, engine)
@@ -222,8 +242,8 @@ def _op_check(schema: Schema, engine: Engine, item: Dict[str, Any]) -> dict:
 
 
 def _op_infer(schema: Schema, engine: Engine, item: Dict[str, Any]) -> dict:
-    query = parse_query(_string_field(item, "query"))
-    pins = _pins_field(item)
+    query = query_field(item)
+    pins = pins_field(item)
     limit = positive_int_field(item, "limit")
     assignments: List[dict] = []
     for pins_out in iterate_inferred_types(query, schema, pins or None, engine):
@@ -238,7 +258,7 @@ def _op_infer(schema: Schema, engine: Engine, item: Dict[str, Any]) -> dict:
 
 
 def _op_classify(schema: Schema, engine: Engine, item: Dict[str, Any]) -> dict:
-    cell = classify(parse_query(_string_field(item, "query")), schema)
+    cell = classify(query_field(item), schema)
     result = dataclasses.asdict(cell)
     result["polynomial"] = cell.polynomial
     return result
@@ -247,8 +267,8 @@ def _op_classify(schema: Schema, engine: Engine, item: Dict[str, Any]) -> dict:
 def _op_evaluate(
     schema: Optional[Schema], engine: Engine, item: Dict[str, Any]
 ) -> dict:
-    query = parse_query(_string_field(item, "query"))
-    graph = _graph_field(item)
+    query = query_field(item)
+    graph = graph_field(item)
     limit = positive_int_field(item, "limit")
     bindings = evaluate(query, graph, limit=limit, engine=engine)
     return {"bindings": bindings, "count": len(bindings)}

@@ -557,12 +557,15 @@ def cmd_warm(args: argparse.Namespace) -> Outcome:
 def cmd_serve(args: argparse.Namespace) -> Outcome:
     import os as _os
 
-    from .engine import BACKEND_ENV_VAR
+    from .engine import BACKEND_ENV_VAR, Engine, set_default_engine
     from .service import SchemaRegistry, ServiceLimits, serve
 
     if args.backend:
-        # Every schema engine the daemon builds resolves its backend here.
+        # Every schema engine the daemon builds resolves its backend here;
+        # the default engine (a fingerprint-less /evaluate) was built at
+        # import, so it is replaced.
         _os.environ[BACKEND_ENV_VAR] = args.backend
+        set_default_engine(Engine(backend=args.backend))
     limits = ServiceLimits(
         default_deadline_s=args.deadline,
         max_deadline_s=max(args.deadline, args.max_deadline),

@@ -40,15 +40,17 @@ Every decision endpoint accepts a registered ``fingerprint`` plus the
 query/data payload and an optional per-request ``deadline`` in seconds;
 the computation runs on the connection thread and unwinds at its first
 poll point past the deadline, answering a structured 503 ``timeout``
-envelope (see :mod:`repro.service.limits`).  Requests are dispatched
-on, and their metrics keyed by, the route template
-:func:`repro.service.routes.resolve` gives (``DELETE /schemas/{fp}``),
-never the raw path.
+envelope (see :mod:`repro.service.limits`).  ``/satisfiable``,
+``/check``, ``/infer``, ``/classify`` and ``/validate`` hand their body
+to the ``/batch`` operation table (:func:`repro.batch.plan.run_item`)
+as one item, so a request and the same batch item get one answer.
+Requests are dispatched on, and their metrics keyed by, the route
+template :func:`repro.service.routes.resolve` gives
+(``DELETE /schemas/{fp}``), never the raw path.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import socketserver
 import sys
@@ -56,21 +58,28 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..data import data_to_string, from_xml, parse_data
-from ..query import evaluate, parse_query, query_to_string
+# The operation table, bound once at import: an import statement per
+# call costs microseconds on the memo-hit path.  ``from ..batch import
+# plan`` and not ``from ..batch.plan import run_item``: plan imports
+# repro.service.envelope, so when repro.batch is imported first this
+# module runs while plan is still initializing, and only the module
+# object can be bound then.
+from ..batch import plan
+from ..data import data_to_string
+from ..query import evaluate, query_to_string
 from ..schema import find_type_assignment
-from ..typing import (
-    WitnessError,
-    check_total_types,
-    check_types,
-    classify,
-    find_witness,
-    is_satisfiable,
-)
-from ..typing.inference import iterate_inferred_types
+from ..typing import WitnessError, find_witness
+
+# perfbench/launcher.py rebinds these names in this module to time them;
+# the decisions themselves run through repro.batch.plan's bindings.
+from ..data import parse_data  # noqa: F401
+from ..query import parse_query  # noqa: F401
+from ..typing import check_total_types, check_types, is_satisfiable  # noqa: F401
+from ..typing.inference import iterate_inferred_types  # noqa: F401
 from .envelope import (
     ServiceError,
     as_service_error,
+    bool_field,
     error_envelope,
     ok_envelope,
     positive_int_field,
@@ -96,17 +105,6 @@ from .routes import (
     resolve,
     unmatched_error,
 )
-
-
-def _require(body: Dict[str, Any], field: str, kind: type = str) -> Any:
-    value = body.get(field)
-    if not isinstance(value, kind) or (kind is str and not value):
-        article = "a" if kind is not int else "an"
-        raise ServiceError(
-            f"request must carry {article} {kind.__name__} field {field!r}",
-            code="bad-request",
-        )
-    return value
 
 
 class ServiceState:
@@ -205,44 +203,50 @@ class ServiceState:
     def _entry(self, body: Dict[str, Any]) -> RegisteredSchema:
         return self.registry.get(body.get("fingerprint"))
 
-    def _query(self, body: Dict[str, Any]):
-        return parse_query(_require(body, "query"))
-
-    def _graph(self, body: Dict[str, Any]):
-        if isinstance(body.get("xml"), str):
-            return from_xml(body["xml"])
-        if isinstance(body.get("data"), str):
-            return parse_data(body["data"])
-        raise ServiceError(
-            "request must carry a data graph: 'data' (Table-1 text) or 'xml'",
-            code="bad-request",
-        )
-
-    def _pins(self, body: Dict[str, Any], field: str = "pins") -> Dict[str, str]:
-        pins = body.get(field) or {}
-        if not isinstance(pins, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in pins.items()
-        ):
-            raise ServiceError(
-                f"{field!r} must map variable names to type/label strings",
-                code="bad-request",
-            )
-        return pins
+    def _deadline(self, body: Dict[str, Any]) -> float:
+        return self.limits.clamp_deadline(body.get("deadline"))
 
     def _deadlined(self, body: Dict[str, Any], fn: Callable[[], Any]) -> Any:
-        deadline = self.limits.clamp_deadline(body.get("deadline"))
-        return self.runner.call(fn, deadline)
+        return self.runner.call(fn, self._deadline(body))
+
+    def _decide(
+        self,
+        operation: str,
+        entry: RegisteredSchema,
+        body: Dict[str, Any],
+        deadline: float,
+        key: Optional[tuple] = None,
+    ) -> dict:
+        """``body`` decided by the batch table's ``operation`` handler.
+
+        It runs under the deadline runner over the entry's engine and,
+        given a ``key``, through the entry's decision memo: the result is
+        a pure function of the key's fields, and the entry is immutable
+        for the fingerprint's lifetime, so a repeated warm request is one
+        dict lookup instead of a walk re-entering the engine cache
+        hundreds of times.  A hit returns a copy.
+        """
+
+        def run() -> dict:
+            return self.runner.call(
+                lambda: plan.run_item(operation, entry.schema, entry.engine, body),
+                deadline,
+            )
+
+        result = run() if key is None else dict(entry.cached_decision(key, run))
+        result["fingerprint"] = entry.fingerprint
+        return result
 
     # ------------------------------------------------------------------
     # Endpoints
     # ------------------------------------------------------------------
 
     def do_schemas(self, body: Dict[str, Any]) -> dict:
-        text = _require(body, "schema")
+        text = plan.string_field(body, "schema")
         syntax = body.get("syntax", "scmdl")
         if not isinstance(syntax, str):
             raise ServiceError("'syntax' must be a string", code="bad-request")
-        wrap = bool(body.get("wrap", False))
+        wrap = bool_field(body, "wrap")
         entry = self._deadlined(
             body, lambda: self.registry.register(text, syntax=syntax, wrap=wrap)
         )
@@ -252,38 +256,23 @@ class ServiceState:
 
     def do_satisfiable(self, body: Dict[str, Any]) -> dict:
         entry = self._entry(body)
-        text = _require(body, "query")
-        pins = self._pins(body)
-        # Validate the deadline even when the memo will answer: request
-        # validation must not depend on what earlier requests cached.
-        deadline = self.limits.clamp_deadline(body.get("deadline"))
+        # The key's fields, the witness flag and the deadline are checked
+        # even when the memo will answer: request validation must not
+        # depend on what earlier requests cached, or on the verdict.
+        key = plan.decision_key("satisfiable", body)
+        witness = bool_field(body, "witness")
+        deadline = self._deadline(body)
         expires = time.monotonic() + deadline
-        # The verdict is a pure function of (schema, query, pins), and the
-        # entry is immutable for the fingerprint's lifetime — memoize it so
-        # a repeated warm request is one dict lookup, not a full automata
-        # walk re-entering the engine cache hundreds of times.
-        verdict = entry.cached_decision(
-            ("satisfiable", text, tuple(sorted(pins.items()))),
-            lambda: bool(
-                self.runner.call(
-                    lambda: is_satisfiable(
-                        parse_query(text), entry.schema, pins or None, entry.engine
-                    ),
-                    deadline,
-                )
-            ),
-        )
-        result = {"satisfiable": verdict, "fingerprint": entry.fingerprint}
-        if verdict and body.get("witness"):
+        result = self._decide("satisfiable", entry, body, deadline, key)
+        if witness and result["satisfiable"]:
 
             def search() -> dict:
+                query = plan.query_field(body)
                 try:
-                    witness = find_witness(
-                        parse_query(text), entry.schema, entry.engine
-                    )
+                    found = find_witness(query, entry.schema, entry.engine)
                 except WitnessError as error:
                     return {"witness": None, "witness_error": str(error)}
-                return {"witness": data_to_string(witness) if witness else None}
+                return {"witness": data_to_string(found) if found else None}
 
             # The search gets what is left of the request's deadline.
             try:
@@ -293,68 +282,20 @@ class ServiceState:
         return result
 
     def do_check(self, body: Dict[str, Any]) -> dict:
-        entry = self._entry(body)
-        query = self._query(body)
-        assignment = self._pins(body, "assignment")
-        total = bool(body.get("total", False))
-        checker = check_total_types if total else check_types
-        try:
-            verdict = self._deadlined(
-                body, lambda: checker(query, entry.schema, assignment, entry.engine)
-            )
-        except ValueError as error:
-            # check_types/check_total_types validate the assignment shape.
-            raise ServiceError(str(error), code="bad-request") from None
-        return {
-            "well_typed": bool(verdict),
-            "total": total,
-            "fingerprint": entry.fingerprint,
-        }
+        return self._decide("check", self._entry(body), body, self._deadline(body))
 
     def do_infer(self, body: Dict[str, Any]) -> dict:
         entry = self._entry(body)
-        text = _require(body, "query")
-        pins = self._pins(body)
-        limit = positive_int_field(body, "limit")
-        # Validated up front so a memo hit cannot mask a bad deadline.
-        deadline = self.limits.clamp_deadline(body.get("deadline"))
-
-        def compute() -> dict:
-            query = parse_query(text)
-
-            def run() -> list:
-                assignments = []
-                for pins_out in iterate_inferred_types(
-                    query, entry.schema, pins or None, entry.engine
-                ):
-                    assignments.append(dict(pins_out))
-                    if limit is not None and len(assignments) >= limit:
-                        break
-                return assignments
-
-            assignments = self.runner.call(run, deadline)
-            return {
-                "assignments": assignments,
-                "count": len(assignments),
-                "truncated": limit is not None and len(assignments) == limit,
-            }
-
         # Inference enumerates |select| x |domain| satisfiability calls,
-        # each re-entering the engine cache — the warm/cold gap was only
-        # 1.4x because of it.  The full result is pure per entry; memoize.
-        result = dict(
-            entry.cached_decision(
-                ("infer", text, tuple(sorted(pins.items())), limit), compute
-            )
-        )
-        result["fingerprint"] = entry.fingerprint
-        return result
+        # so its memo saves far more than one walk.
+        key = plan.decision_key("infer", body)
+        return self._decide("infer", entry, body, self._deadline(body), key)
 
     def do_feedback(self, body: Dict[str, Any]) -> dict:
         from ..apps import UnsatisfiableQueryError, feedback_query
 
         entry = self._entry(body)
-        query = self._query(body)
+        query = plan.query_field(body)
 
         def run() -> dict:
             try:
@@ -370,29 +311,14 @@ class ServiceState:
         return result
 
     def do_classify(self, body: Dict[str, Any]) -> dict:
-        entry = self._entry(body)
-        query = self._query(body)
-        cell = classify(query, entry.schema)
-        result = dataclasses.asdict(cell)
-        result["polynomial"] = cell.polynomial
-        result["fingerprint"] = entry.fingerprint
-        return result
+        return self._decide("classify", self._entry(body), body, self._deadline(body))
 
     def do_validate(self, body: Dict[str, Any]) -> dict:
-        entry = self._entry(body)
-        graph = self._graph(body)
-        assignment = self._deadlined(
-            body, lambda: find_type_assignment(graph, entry.schema, entry.engine)
-        )
-        return {
-            "valid": assignment is not None,
-            "assignment": dict(assignment) if assignment is not None else None,
-            "fingerprint": entry.fingerprint,
-        }
+        return self._decide("conforms", self._entry(body), body, self._deadline(body))
 
     def do_evaluate(self, body: Dict[str, Any]) -> dict:
-        query = self._query(body)
-        graph = self._graph(body)
+        query = plan.query_field(body)
+        graph = plan.graph_field(body)
         limit = positive_int_field(body, "limit")
         entry = None
         if body.get("fingerprint") is not None:
@@ -415,17 +341,16 @@ class ServiceState:
         return result
 
     def do_batch(self, body: Dict[str, Any]) -> dict:
-        # Imported lazily: repro.batch imports service submodules, so a
-        # module-level import here would close an import cycle through
-        # the package __init__.
-        from ..batch import OPERATIONS, run_items_shared, summarize
+        # Looked up per call: perfbench/launcher.py times /batch by
+        # rebinding repro.batch.run_items_shared.
+        from ..batch import run_items_shared
 
         entry = self._entry(body)
-        operation = _require(body, "operation")
-        if operation not in OPERATIONS:
+        operation = plan.string_field(body, "operation")
+        if operation not in plan.OPERATIONS:
             raise ServiceError(
                 f"unknown batch operation {operation!r} "
-                f"(expected one of {', '.join(OPERATIONS)})",
+                f"(expected one of {', '.join(plan.OPERATIONS)})",
                 code="bad-request",
             )
         items = body.get("items")
@@ -450,7 +375,7 @@ class ServiceState:
             lambda: run_items_shared(operation, entry.schema, entry.engine, items),
         )
         elapsed = time.perf_counter() - started
-        summary = summarize(operation, "sequential", results, elapsed)
+        summary = plan.summarize(operation, "sequential", results, elapsed)
         self.metrics.record_batch(len(results), summary["errors"], elapsed)
         return {
             "results": results,
@@ -467,11 +392,11 @@ class ServiceState:
         """
         from ..schema.migrate import POLICIES
 
-        text = _require(body, "schema")
+        text = plan.string_field(body, "schema")
         syntax = body.get("syntax", "scmdl")
         if not isinstance(syntax, str):
             raise ServiceError("'syntax' must be a string", code="bad-request")
-        wrap = bool(body.get("wrap", False))
+        wrap = bool_field(body, "wrap")
         policy = body.get("policy", "compatible")
         if policy not in POLICIES:
             raise ServiceError(

@@ -98,6 +98,25 @@ def positive_int_field(body: Dict[str, Any], field: str) -> Optional[int]:
     return value
 
 
+def bool_field(body: Dict[str, Any], field: str) -> bool:
+    """The optional boolean field ``field`` of a JSON body.
+
+    Only JSON ``true`` and ``false`` are accepted: taking the truth value
+    of whatever was sent would read the string ``"false"`` as true.
+
+    Returns ``False`` when the field is absent or ``null``.
+
+    Raises:
+        ServiceError: 400 ``bad-request`` for any other value.
+    """
+    value = body.get(field)
+    if value is None:
+        return False
+    if not isinstance(value, bool):
+        raise ServiceError(f"{field!r} must be a boolean", code="bad-request")
+    return value
+
+
 def ok_envelope(
     command: str,
     result: Any,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.engine import Engine, get_default_engine, set_default_engine
 
 SCHEMA = """
 DOCUMENT = [(paper -> PAPER)*];
@@ -211,6 +212,13 @@ class TestCli:
 
 
 class TestServeBackend:
+    @pytest.fixture(autouse=True)
+    def default_engine(self):
+        # serve --backend installs a default engine; put the caller's back.
+        previous = get_default_engine()
+        yield
+        set_default_engine(previous)
+
     def test_backend_flag_picks_the_engine_backend_without_a_store(self, monkeypatch):
         import repro.service
 
@@ -222,3 +230,14 @@ class TestServeBackend:
         monkeypatch.setenv("REPRO_BACKEND", "compiled")
         assert main(["serve", "--backend", "nfa"]) == 0
         assert served["registry"].register(SCHEMA).engine.backend == "nfa"
+
+    def test_backend_flag_sets_the_default_engine_backend(self, monkeypatch):
+        import repro.service
+
+        monkeypatch.setattr(repro.service, "serve", lambda **kw: None)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.setenv("REPRO_BACKEND", "compiled")
+        set_default_engine(Engine(backend="compiled"))
+        assert main(["serve", "--backend", "nfa"]) == 0
+        # A fingerprint-less /evaluate runs on the default engine.
+        assert get_default_engine().backend == "nfa"

@@ -114,15 +114,16 @@ class TestEndpointMemoization:
         assert first == second
         assert self._decisions(state, fp)["hits"] >= 1
 
-    def test_memoized_infer_result_is_a_copy(self, state):
+    @pytest.mark.parametrize("path", ["/satisfiable", "/infer"])
+    def test_memoized_result_is_a_copy(self, state, path):
         """Handlers hand the result dict to the JSON encoder and callers
         may mutate it; the cached master must not be aliased."""
         fp = register(state)
         request = {"fingerprint": fp, "query": QUERY}
-        first = self._post(state, "/infer", request)
-        first["count"] = "tampered"
-        second = self._post(state, "/infer", request)
-        assert second["count"] != "tampered"
+        first = self._post(state, path, request)
+        first["tampered"] = True
+        second = self._post(state, path, request)
+        assert "tampered" not in second
 
     def test_pins_are_part_of_the_key(self, state):
         fp = register(state)
@@ -175,3 +176,24 @@ class TestEndpointMemoization:
         assert new_fp != fp
         fresh = state.registry.get(new_fp)
         assert len(fresh.decisions) == 0
+
+    def test_one_registry_lookup_per_request(self, state):
+        """Each request naming a fingerprint looks it up once: memo hits,
+        witness searches and whole batches included."""
+        fp = register(state)
+        data = 'o1 = [paper -> o2]; o2 = [title -> o3]; o3 = "T"'
+        requests = [
+            ("/satisfiable", {"query": QUERY}),
+            ("/satisfiable", {"query": QUERY}),
+            ("/satisfiable", {"query": QUERY, "witness": True}),
+            ("/infer", {"query": QUERY}),
+            ("/check", {"query": QUERY, "assignment": {"X": "PAPER"}}),
+            ("/classify", {"query": QUERY}),
+            ("/validate", {"data": data}),
+            ("/evaluate", {"query": QUERY, "data": data}),
+            ("/batch", {"operation": "satisfiable", "items": [{"query": QUERY}] * 3}),
+        ]
+        before = state.registry.stats()["lookups"]
+        for path, body in requests:
+            self._post(state, path, {"fingerprint": fp, **body})
+        assert state.registry.stats()["lookups"] == before + len(requests)

@@ -189,6 +189,18 @@ class TestMigrateRejected:
         )
         assert status == 400
 
+    def test_wrap_must_be_a_boolean(self):
+        state = ServiceState()
+        fingerprint = register(state)
+        status, envelope = post(
+            state,
+            f"/schemas/{fingerprint}/migrate",
+            {"schema": WIDE, "wrap": "false"},
+        )
+        assert status == 400
+        assert envelope["error"]["message"] == "'wrap' must be a boolean"
+        assert state.registry.get(fingerprint).version == 1
+
 
 class TestMigrateTimedOut:
     """A ``/migrate`` past its deadline answers 503 and changes nothing.

@@ -50,7 +50,8 @@ def service():
 
 @pytest.fixture(scope="module")
 def client(service):
-    return ServiceClient(service.host, service.port)
+    with ServiceClient(service.host, service.port) as client:
+        yield client
 
 
 @pytest.fixture(scope="module")
@@ -188,10 +189,30 @@ class TestErrors:
         assert excinfo.value.code == "bad-request"
 
     def test_non_json_body_is_bad_request(self, service):
-        client = ServiceClient(service.host, service.port)
-        status, envelope = client.request("POST", "/satisfiable", None)
+        with ServiceClient(service.host, service.port) as client:
+            status, envelope = client.request("POST", "/satisfiable", None)
         assert status == 400
         assert envelope["error"]["code"] == "bad-request"
+
+    def test_witness_must_be_a_boolean(self, client, fingerprint):
+        # Checked before the verdict: an unsatisfiable query, which never
+        # builds a witness, is rejected too.
+        for query in (QUERY, "SELECT X WHERE Root = [nothing -> X]"):
+            with pytest.raises(ServiceResponseError) as excinfo:
+                client.call(
+                    "POST",
+                    "/satisfiable",
+                    {"fingerprint": fingerprint, "query": query, "witness": "false"},
+                )
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "bad-request"
+            assert excinfo.value.error["message"] == "'witness' must be a boolean"
+
+    def test_wrap_must_be_a_boolean(self, client):
+        with pytest.raises(ServiceResponseError) as excinfo:
+            client.register_schema(DTD, syntax="dtd", wrap="false")
+        assert excinfo.value.status == 400
+        assert excinfo.value.error["message"] == "'wrap' must be a boolean"
 
     def test_unknown_path_is_404(self, client):
         with pytest.raises(ServiceResponseError) as excinfo:
@@ -218,6 +239,92 @@ class TestErrors:
         assert set(envelope) == {"version", "ok", "command", "result", "error", "meta"}
         assert envelope["command"] == "GET /healthz"
         assert "elapsed_ms" in envelope["meta"]
+
+
+#: (endpoint, its /batch operation, body without the fingerprint).
+ANSWERED = [
+    ("/satisfiable", "satisfiable", {"query": QUERY, "pins": {"X": "PAPER"}}),
+    (
+        "/check",
+        "check",
+        {
+            "query": QUERY,
+            "assignment": {"Root": "DOCUMENT", "X": "PAPER"},
+            "total": True,
+        },
+    ),
+    ("/infer", "infer", {"query": "SELECT X WHERE Root = [_.(_*) -> X]", "limit": 2}),
+    ("/classify", "classify", {"query": QUERY}),
+    ("/validate", "conforms", {"data": DATA}),
+]
+
+REJECTED = [
+    pytest.param("/satisfiable", "satisfiable", {}, id="satisfiable-no-query"),
+    pytest.param("/check", "check", {"assignment": {}}, id="check-no-query"),
+    pytest.param("/infer", "infer", {}, id="infer-no-query"),
+    pytest.param("/classify", "classify", {}, id="classify-no-query"),
+    # A list is unhashable: the memo key must not be built from it.
+    pytest.param(
+        "/satisfiable", "satisfiable", {"query": [QUERY]}, id="satisfiable-query-list"
+    ),
+    pytest.param("/infer", "infer", {"query": [QUERY]}, id="infer-query-list"),
+    pytest.param("/check", "check", {"query": [QUERY]}, id="check-query-list"),
+    pytest.param(
+        "/satisfiable",
+        "satisfiable",
+        {"query": QUERY, "pins": ["X", "PAPER"]},
+        id="satisfiable-pins-list",
+    ),
+    pytest.param(
+        "/infer",
+        "infer",
+        {"query": QUERY, "pins": ["X", "PAPER"]},
+        id="infer-pins-list",
+    ),
+    pytest.param("/infer", "infer", {"query": QUERY, "limit": True}, id="limit-true"),
+    pytest.param(
+        "/check",
+        "check",
+        {"query": QUERY, "assignment": {}, "total": "false"},
+        id="total-string",
+    ),
+    pytest.param("/validate", "conforms", {}, id="validate-no-graph"),
+]
+
+
+class TestOneTable:
+    """Each decision endpoint answers a body as the same ``/batch`` item."""
+
+    def _both(self, client, fingerprint, path, operation, body):
+        single = client.request("POST", path, {"fingerprint": fingerprint, **body})
+        status, batch = client.request(
+            "POST",
+            "/batch",
+            {"fingerprint": fingerprint, "operation": operation, "items": [body]},
+        )
+        assert status == 200
+        return single, batch["result"]["results"][0]
+
+    @pytest.mark.parametrize(
+        "path, operation, body", ANSWERED, ids=[case[0] for case in ANSWERED]
+    )
+    def test_result(self, client, fingerprint, path, operation, body):
+        (status, envelope), item = self._both(
+            client, fingerprint, path, operation, body
+        )
+        assert status == 200 and item["ok"]
+        result = dict(envelope["result"])
+        assert result.pop("fingerprint") == fingerprint
+        assert result == item["result"]
+
+    @pytest.mark.parametrize("path, operation, body", REJECTED)
+    def test_error(self, client, fingerprint, path, operation, body):
+        (status, envelope), item = self._both(
+            client, fingerprint, path, operation, body
+        )
+        assert status == 400 and not item["ok"]
+        assert envelope["error"]["code"] == item["error"]["code"] == "bad-request"
+        assert envelope["error"]["message"] == item["error"]["message"]
 
 
 class TestStats:
@@ -260,8 +367,7 @@ class TestDeadlines:
         ~1.5s, and the server keeps answering /healthz afterwards."""
         formula = random_3sat(8, n_clauses=32, rng=random.Random(3))
         schema, query = reduce_formula(formula)
-        with TypedQueryService() as svc:
-            client = ServiceClient(svc.host, svc.port)
+        with TypedQueryService() as svc, ServiceClient(svc.host, svc.port) as client:
             fp = client.register_schema(schema_to_string(schema))["fingerprint"]
             started = time.perf_counter()
             with pytest.raises(ServiceResponseError) as excinfo:
@@ -282,8 +388,9 @@ class TestDeadlines:
 
     def test_oversized_body_is_413(self):
         limits = ServiceLimits(max_body_bytes=256)
-        with TypedQueryService(limits=limits) as svc:
-            client = ServiceClient(svc.host, svc.port)
+        with TypedQueryService(limits=limits) as svc, ServiceClient(
+            svc.host, svc.port
+        ) as client:
             with pytest.raises(ServiceResponseError) as excinfo:
                 client.register_schema("T = [a -> A]; A = string" + " " * 500)
             assert excinfo.value.status == 413
