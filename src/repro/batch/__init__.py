@@ -22,7 +22,6 @@ from .executors import (
     run_items_shared,
 )
 from .plan import (
-    MALFORMED_KEY,
     OPERATIONS,
     BatchPlan,
     compile_schema,
@@ -37,7 +36,6 @@ __all__ = [
     "BatchPlan",
     "BatchResult",
     "EXECUTORS",
-    "MALFORMED_KEY",
     "OPERATIONS",
     "chunk_indexed",
     "compile_schema",

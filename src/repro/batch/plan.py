@@ -57,10 +57,22 @@ OPERATIONS: Tuple[str, ...] = (
     "evaluate",
 )
 
-#: Marker key :func:`read_ndjson` plants on lines that were not valid
-#: JSON — the item then fails with a per-item ``bad-request`` envelope
-#: instead of aborting the whole batch.
-MALFORMED_KEY = "__malformed__"
+
+class _MalformedLine:
+    """What :func:`read_ndjson` puts in place of a line that is not JSON.
+
+    The item then fails with a per-item ``bad-request`` envelope instead
+    of aborting the whole batch.  No JSON value is an instance of this
+    class, so no client field can pass for such a line.
+    """
+
+    __slots__ = ("message",)
+
+    def __init__(self, message: str):
+        self.message = message
+
+    def __repr__(self) -> str:
+        return f"_MalformedLine({self.message!r})"
 
 
 @dataclass(frozen=True)
@@ -148,12 +160,12 @@ def run_item(
         raise ServiceError(
             f"unknown batch operation {operation!r}", code="bad-request"
         )
+    if isinstance(item, _MalformedLine):
+        raise ServiceError(
+            f"item is not valid JSON: {item.message}", code="bad-request"
+        )
     if not isinstance(item, dict):
         raise ServiceError("batch item must be a JSON object", code="bad-request")
-    if MALFORMED_KEY in item:
-        raise ServiceError(
-            f"item is not valid JSON: {item[MALFORMED_KEY]}", code="bad-request"
-        )
     if schema is None and operation != "evaluate":
         raise ServiceError(
             f"operation {operation!r} needs a schema", code="bad-request"
@@ -330,7 +342,7 @@ def summarize(
 def read_ndjson(text: str) -> List[Any]:
     """Parse NDJSON input: one JSON value per line, blank lines skipped.
 
-    Lines that fail to parse become marker items (:data:`MALFORMED_KEY`)
+    Lines that fail to parse become marker items (:class:`_MalformedLine`)
     so they surface as per-item ``bad-request`` envelopes rather than
     failing the batch — the error-isolation contract.
     """
@@ -342,7 +354,7 @@ def read_ndjson(text: str) -> List[Any]:
         try:
             items.append(json.loads(line))
         except json.JSONDecodeError as error:
-            items.append({MALFORMED_KEY: str(error)})
+            items.append(_MalformedLine(str(error)))
     return items
 
 

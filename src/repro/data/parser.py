@@ -21,15 +21,24 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from ..cancellation import POLL_EVERY, current_deadline, raise_if_cancelled
 from ..lexer import TokenStream
 from .model import DataGraph, Edge, Node, NodeKind
 
 
 def parse_data(text: str, validate: bool = True) -> DataGraph:
-    """Parse a data graph from its textual representation."""
+    """Parse a data graph from its textual representation.
+
+    Lexing and the per-node loop poll the calling context's deadline
+    (:mod:`repro.cancellation`), so a large graph in a request body
+    unwinds near its deadline.
+    """
     stream = TokenStream(text)
     nodes: List[Node] = []
+    cancel = current_deadline()
     while not stream.at_end():
+        if len(nodes) % POLL_EVERY == 0:
+            raise_if_cancelled(cancel)
         nodes.append(_parse_definition(stream))
         if stream.match("OP", ";") is None:
             break

@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+from ..cancellation import POLL_EVERY, current_deadline, raise_if_cancelled
 from .model import DataGraph, Edge, Node, NodeKind
 
 
@@ -108,6 +109,9 @@ class _XmlParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        #: Elements started so far; every POLL_EVERY-th polls the deadline.
+        self.elements = 0
+        self.cancel = current_deadline()
 
     def error(self, message: str) -> XmlError:
         line = self.text.count("\n", 0, self.pos) + 1
@@ -148,6 +152,9 @@ class _XmlParser:
 
     def parse_element(self) -> XmlElement:
         assert self.text[self.pos] == "<"
+        self.elements += 1
+        if self.elements % POLL_EVERY == 0:
+            raise_if_cancelled(self.cancel)
         self.pos += 1
         match = _NAME_RE.match(self.text, self.pos)
         if match is None:
@@ -225,15 +232,20 @@ def from_xml(text: str, oid_prefix: str = "o") -> DataGraph:
     """Encode an XML fragment as a data graph, per Section 2.
 
     The result's root is a synthetic ordered node ``<prefix>1`` with one
-    edge labelled by the document element's tag.
+    edge labelled by the document element's tag.  Parsing and encoding
+    poll the calling context's deadline every
+    :data:`~repro.cancellation.POLL_EVERY` elements or nodes.
     """
     element = parse_xml(text)
     nodes: List[Node] = []
     counter = [1]
+    cancel = current_deadline()
 
     def fresh_oid() -> str:
         oid = f"{oid_prefix}{counter[0]}"
         counter[0] += 1
+        if counter[0] % POLL_EVERY == 0:
+            raise_if_cancelled(cancel)
         return oid
 
     root_oid = fresh_oid()

@@ -212,12 +212,20 @@ class Engine:
 
         The satisfiability word search runs on this table; the pipeline's
         dead-state pruning means every offered symbol can still complete
-        a content word.
+        a content word.  When every target of ``tid`` is inhabited the
+        restricted NFA is the content NFA itself, and this is
+        :meth:`compiled_content`'s table: equal NFAs compile to equal
+        tables, so it is compiled once and stored once.
         """
         key = ("compiled-content-restricted", schema.fingerprint(), tid)
-        return self.cache.get_or_compute(
-            key, lambda: compile_nfa(self.restricted_content_nfa(schema, tid))
-        )
+
+        def build() -> CompiledDFA:
+            restricted = self.restricted_content_nfa(schema, tid)
+            if restricted is self.content_nfa(schema, tid):
+                return self.compiled_content(schema, tid)
+            return compile_nfa(restricted)
+
+        return self.cache.get_or_compute(key, build)
 
     def compiled_trace(self, schema, root_tid: str, arm_count: int) -> CompiledDFA:
         """``Tr(S)`` rooted at ``root_tid``, compiled (Section 3.4)."""

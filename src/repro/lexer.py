@@ -24,6 +24,8 @@ from __future__ import annotations
 import re
 from typing import Iterator, List, NamedTuple, Optional, Union
 
+from .cancellation import POLL_EVERY, current_deadline, raise_if_cancelled
+
 
 class Token(NamedTuple):
     """A lexed token: ``kind`` is IDENT/STRING/NUMBER/ARROW/OP/EOF."""
@@ -57,17 +59,25 @@ _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 def tokenize(text: str) -> List[Token]:
     """Tokenize ``text``; ``#`` starts a comment running to end of line.
 
+    A text can be as long as a request body, so the sweep polls the
+    calling context's deadline every :data:`~repro.cancellation.POLL_EVERY`
+    tokens.
+
     Raises:
         LexError: on an unrecognized character, with line/column info.
+        Cancelled: once the calling context's deadline has passed.
     """
     tokens: List[Token] = []
     append = tokens.append
     position = 0
     line = 1
     line_start = 0
+    cancel = current_deadline()
     # One finditer sweep; a gap between consecutive matches is exactly an
     # unlexable character (every token pattern is anchored by the gap check).
-    for match in _TOKEN_RE.finditer(text):
+    for count, match in enumerate(_TOKEN_RE.finditer(text), 1):
+        if count % POLL_EVERY == 0:
+            raise_if_cancelled(cancel)
         if match.start() != position:
             raise LexError(
                 f"unexpected character {text[position]!r} at line {line}, "

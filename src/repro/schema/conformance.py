@@ -30,7 +30,7 @@ from ..automata.bag import bag_run_groups
 from ..automata.compiled import run_with_choices_compiled
 from ..automata.nfa import NFA
 from ..automata.ops import run_with_choices
-from ..cancellation import current_deadline, raise_if_cancelled
+from ..cancellation import POLL_EVERY, current_deadline, raise_if_cancelled
 from ..data.model import DataGraph, Node
 from ..engine import Engine, get_default_engine
 from .model import Schema, TypeDef, atomic_matches
@@ -90,10 +90,13 @@ def candidate_types(
             candidates &= {schema.root}
         domains[node.oid] = candidates
 
+    cancel = current_deadline()
     changed = True
     while changed:
         changed = False
-        for node in graph:
+        for count, node in enumerate(graph, 1):
+            if count % POLL_EVERY == 0:
+                raise_if_cancelled(cancel)
             if node.is_atomic:
                 continue
             survivors = {
@@ -173,7 +176,8 @@ def find_type_assignment(
     node.  The search is exponential only in the number of referenceable
     nodes — conformance for tree data (e.g. XML documents) never backtracks.
     Each choice costs a full typing pass, so the search polls the caller's
-    deadline before every one.
+    deadline before every one; the refinement and each typing pass also
+    poll it every :data:`~repro.cancellation.POLL_EVERY` nodes.
     """
     domains = candidate_types(graph, schema, engine)
     if not domains[graph.root]:
@@ -220,11 +224,14 @@ def _try_extend(
     assignment: Dict[str, str] = dict(fixed)
     pending = list(fixed)
     processed: Set[str] = set()
+    cancel = current_deadline()
     while pending:
         oid = pending.pop()
         if oid in processed:
             continue
         processed.add(oid)
+        if len(processed) % POLL_EVERY == 0:
+            raise_if_cancelled(cancel)
         node = graph.node(oid)
         tid = assignment[oid]
         if node.is_atomic:

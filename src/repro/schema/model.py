@@ -525,16 +525,24 @@ def _compute_possible_edges(
 
 
 def _restrict_to_targets(nfa: NFA, allowed_targets: Set[str]) -> NFA:
-    """Drop arcs whose ``(label, tid)`` symbol targets a type outside the set."""
+    """Drop arcs whose ``(label, tid)`` symbol targets a type outside the set.
+
+    Returns ``nfa`` itself when no arc goes, so a caller can tell by
+    identity that the restriction changed nothing.
+    """
     from ..automata.nfa import EPS
 
     transitions = {}
+    dropped = False
     for src, arcs in nfa.transitions.items():
         kept = [
             (symbol, dst)
             for symbol, dst in arcs
             if symbol is EPS or symbol[1] in allowed_targets
         ]
+        dropped = dropped or len(kept) < len(arcs)
         if kept:
             transitions[src] = kept
+    if not dropped:
+        return nfa
     return NFA(nfa.n_states, nfa.alphabet, nfa.start, nfa.accepting, transitions)

@@ -295,9 +295,9 @@ class ServiceState:
         from ..apps import UnsatisfiableQueryError, feedback_query
 
         entry = self._entry(body)
-        query = plan.query_field(body)
 
         def run() -> dict:
+            query = plan.query_field(body)
             try:
                 tightened = feedback_query(query, entry.schema, entry.engine)
             except UnsatisfiableQueryError as error:
@@ -317,14 +317,16 @@ class ServiceState:
         return self._decide("conforms", self._entry(body), body, self._deadline(body))
 
     def do_evaluate(self, body: Dict[str, Any]) -> dict:
-        query = plan.query_field(body)
-        graph = plan.graph_field(body)
-        limit = positive_int_field(body, "limit")
         entry = None
         if body.get("fingerprint") is not None:
             entry = self._entry(body)
 
         def run() -> dict:
+            # Decoded under the deadline, like the table's operations: a
+            # graph near the body cap takes seconds to parse.
+            query = plan.query_field(body)
+            graph = plan.graph_field(body)
+            limit = positive_int_field(body, "limit")
             engine = entry.engine if entry is not None else None
             result: Dict[str, Any] = {
                 "bindings": evaluate(query, graph, limit=limit, engine=engine),

@@ -20,6 +20,11 @@ Design points:
   expensive parse/pre-warm runs outside the lock, so concurrent
   registrations of distinct schemas proceed in parallel and a racing
   duplicate registration of the same fingerprint resolves to one entry.
+* **Parse once per text.**  A bounded LRU of successful parses, keyed by
+  ``(text, syntax, wrap)``, lets a repeated registration skip the lexer
+  and parser: the hit hands back the same frozen :class:`Schema`, whether
+  its entry is still resident, was evicted (a store reload) or was
+  deleted (a recompile).
 """
 
 from __future__ import annotations
@@ -44,6 +49,17 @@ MAX_HISTORY = 16
 #: by the request's (operation, query, pins, ...) tuple; see
 #: :meth:`RegisteredSchema.cached_decision`).
 DECISION_CACHE_SIZE = 512
+
+#: Successful schema parses the registry keeps, keyed by ``(text,
+#: syntax, wrap)``; the least recently used goes first.
+SCHEMA_MEMO_ENTRIES = 256
+#: Longer texts are parsed every time, so no client can pin large bodies
+#: in the memo.  A parsed schema takes 5-34 bytes per character of its
+#: text (2-14 KiB for the benchmark corpora's 211-702-character texts),
+#: and about 60 for a long alternation of distinct labels, the costliest
+#: shape measured; so a full memo holds about 2 MB of such schemas and
+#: at most about 63 MB, plus 1 MB of texts.
+SCHEMA_MEMO_MAX_CHARS = 4096
 
 
 class UnknownSchemaError(ServiceError):
@@ -190,6 +206,9 @@ class SchemaRegistry:
         self._unregistered = 0
         self._migrations = 0
         self._migrations_rejected = 0
+        self._parses: "OrderedDict[tuple, Schema]" = OrderedDict()
+        self._parse_hits = 0
+        self._parse_misses = 0
         if store is not None and restore:
             self._restore_from_store()
 
@@ -230,6 +249,39 @@ class SchemaRegistry:
     # Registration
     # ------------------------------------------------------------------
 
+    def _parse(self, text: str, syntax: str, wrap: bool) -> Schema:
+        """``parse_schema_text`` through the registry's parse memo.
+
+        Successful parses of texts up to :data:`SCHEMA_MEMO_MAX_CHARS`
+        characters are kept in a bounded LRU (:data:`SCHEMA_MEMO_ENTRIES`)
+        keyed by ``(text, syntax, wrap)``; errors are not kept.  Every
+        schema is fingerprinted before it is stored, which freezes it, so
+        the one object can back any number of entries and engines.  The
+        parse itself runs outside the lock.  ``misses`` counts every call
+        that ran the parser, failed and over-long texts included.
+        """
+        key = (text, syntax, wrap)
+        memoize = len(text) <= SCHEMA_MEMO_MAX_CHARS
+        with self._lock:
+            schema = self._parses.get(key) if memoize else None
+            if schema is not None:
+                self._parses.move_to_end(key)
+                self._parse_hits += 1
+                return schema
+            self._parse_misses += 1
+        schema = parse_schema_text(text, syntax=syntax, wrap=wrap)
+        schema.fingerprint()
+        if not memoize:
+            return schema
+        with self._lock:
+            # A racing parse of the same text may have stored first; hand
+            # out that one object.
+            schema = self._parses.setdefault(key, schema)
+            self._parses.move_to_end(key)
+            while len(self._parses) > SCHEMA_MEMO_ENTRIES:
+                self._parses.popitem(last=False)
+        return schema
+
     def register(
         self, text: str, syntax: str = "scmdl", wrap: bool = False
     ) -> RegisteredSchema:
@@ -237,9 +289,11 @@ class SchemaRegistry:
 
         Re-registering a schema that is already resident (same
         fingerprint) is cheap: the existing compiled entry is refreshed in
-        LRU order and returned, with none of the automata rebuilt.
+        LRU order and returned, with none of the automata rebuilt.  A
+        text the parse memo holds is not parsed again either, resident or
+        not.
         """
-        schema = parse_schema_text(text, syntax=syntax, wrap=wrap)
+        schema = self._parse(text, syntax, wrap)
         fingerprint = schema.fingerprint()
 
         with self._lock:
@@ -336,7 +390,7 @@ class SchemaRegistry:
         """
         current = self.get(fingerprint)  # 404s early, refreshes recency
 
-        schema = parse_schema_text(text, syntax=syntax, wrap=wrap)
+        schema = self._parse(text, syntax, wrap)
         new_fingerprint = schema.fingerprint()
 
         # Compile outside the lock, exactly like register().
@@ -499,6 +553,11 @@ class SchemaRegistry:
                 "unregistered": self._unregistered,
                 "migrations": self._migrations,
                 "migrations_rejected": self._migrations_rejected,
+                "parse_memo": {
+                    "hits": self._parse_hits,
+                    "misses": self._parse_misses,
+                    "size": len(self._parses),
+                },
             }
         if self.store is not None:
             counters["store"] = self.store.stats()

@@ -14,7 +14,6 @@ import pytest
 
 from repro.batch import (
     EXECUTORS,
-    MALFORMED_KEY,
     OPERATIONS,
     BatchPlan,
     chunk_indexed,
@@ -113,11 +112,13 @@ class TestErrorIsolation:
         )
         items = read_ndjson(text)
         assert len(items) == 2
-        assert MALFORMED_KEY in items[1]
+        # The marker is no JSON value, so no client field can forge it.
+        assert not isinstance(items[1], (dict, list, str, int, float, bool, type(None)))
         outcome = run_batch(_plan(items))
         assert outcome.results[0]["ok"]
         assert not outcome.results[1]["ok"]
         assert outcome.results[1]["error"]["code"] == "bad-request"
+        assert outcome.results[1]["error"]["message"].startswith("item is not valid JSON: ")
 
     def test_results_to_ndjson_round_trips(self):
         outcome = run_batch(_plan([{"query": GOOD_QUERY}]))

@@ -178,3 +178,67 @@ class TestInstall:
         seeded = artifact.install(target)
         assert seeded is target
         assert len(target.cache) >= len(artifact)
+
+
+#: ``B`` needs a ``B`` child forever, so it is uninhabited and
+#: restriction drops the ``(b, B)`` arcs of ``R`` and ``B``.
+UNINHABITED = parse_schema("R = [(a -> A | b -> B)*]; A = string; B = [b -> B]")
+
+
+def _collection_tids(schema):
+    return [type_def.tid for type_def in schema if not type_def.is_atomic]
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The NFAs ``repro.engine.core.compile_nfa`` compiles."""
+    import repro.engine.core as core
+
+    seen = []
+    real = core.compile_nfa
+
+    def counting(nfa):
+        seen.append(nfa)
+        return real(nfa)
+
+    monkeypatch.setattr(core, "compile_nfa", counting)
+    return seen
+
+
+class TestSharedContentTables:
+    def test_fully_inhabited_type_has_one_table(self, compiles):
+        engine = Engine(backend="compiled")
+        prewarm(SCHEMA, engine)
+        tids = _collection_tids(SCHEMA)
+        assert len(compiles) == len(tids)
+        for tid in tids:
+            assert engine.restricted_content_nfa(SCHEMA, tid) is engine.content_nfa(
+                SCHEMA, tid
+            )
+            assert engine.compiled_restricted_content(
+                SCHEMA, tid
+            ) is engine.compiled_content(SCHEMA, tid)
+
+    def test_uninhabited_target_keeps_two_tables(self, compiles):
+        engine = Engine(backend="compiled")
+        prewarm(UNINHABITED, engine)
+        assert engine.inhabited_types(UNINHABITED) == {"R", "A"}
+        assert len(compiles) == 2 * len(_collection_tids(UNINHABITED))
+        full = engine.compiled_content(UNINHABITED, "R")
+        restricted = engine.compiled_restricted_content(UNINHABITED, "R")
+        assert restricted is not full
+        assert full.member([("b", "B")])
+        assert not restricted.member([("b", "B")])
+        assert full.member([("a", "A")]) and restricted.member([("a", "A")])
+
+    def test_round_trip_keeps_one_shared_table(self):
+        # Pickle stores an object it meets twice once, so the clone's two
+        # keys name one table too.
+        _engine, artifact = _captured()
+        clone = EngineArtifact.from_bytes(artifact.to_bytes())
+        fingerprint = SCHEMA.fingerprint()
+        for tid in _collection_tids(SCHEMA):
+            assert (
+                clone.entries[("compiled-content-restricted", fingerprint, tid)]
+                is clone.entries[("compiled-content", fingerprint, tid)]
+            )

@@ -196,6 +196,32 @@ def test_two_evaluations_do_not_pin_both_slots():
             _assert_server_free(client, route, cheap, timeouts=2)
 
 
+GRAPH_SCHEMA = "ROOT = [(paper -> PAPER)*]; PAPER = [title -> TITLE]; TITLE = string"
+GRAPH_QUERY = "SELECT X WHERE ROOT = [paper.title -> X]"
+
+
+def _large_graph(papers: int = 15_000) -> str:
+    """A 0.9-MB Table-1 graph, under the 1-MiB body cap."""
+    root = "o = [" + ", ".join(f"paper -> p{i}" for i in range(papers)) + "]"
+    rest = "; ".join(f'p{i} = [title -> t{i}]; t{i} = "Types"' for i in range(papers))
+    return f"{root}; {rest}"
+
+
+@pytest.mark.parametrize("route", ["/validate", "/evaluate"])
+def test_large_graph_times_out_while_parsing(route):
+    """Parsing a data graph had no poll point, and ``/evaluate`` parsed
+    its body before its deadline started: with a 0.05-s deadline,
+    ``/validate`` answered 503 after about 2 s and ``/evaluate`` after
+    about 1.4 s."""
+    with TypedQueryService(port=0) as svc, ServiceClient(svc.host, svc.port) as client:
+        fingerprint = client.register_schema(GRAPH_SCHEMA)["fingerprint"]
+        body = {"fingerprint": fingerprint, "query": GRAPH_QUERY}
+        hostile = dict(body, data=_large_graph(), deadline=0.05)
+        _assert_timed_out(*_send(client, route, hostile))
+        cheap = dict(body, data='o = [paper -> p]; p = [title -> t]; t = "T"')
+        _assert_server_free(client, route, cheap)
+
+
 class TestWitnessEngine:
     QUERY = blow_up_query(14)
 

@@ -326,6 +326,17 @@ class TestOneTable:
         assert envelope["error"]["code"] == item["error"]["code"] == "bad-request"
         assert envelope["error"]["message"] == item["error"]["message"]
 
+    def test_a_field_cannot_pass_for_an_unparseable_line(self, client, fingerprint):
+        """``read_ndjson`` used to mark a line that is not JSON with the key
+        ``__malformed__``, so a body carrying that key answered 400."""
+        body = {"query": QUERY, "__malformed__": "x"}
+        (status, envelope), item = self._both(
+            client, fingerprint, "/satisfiable", "satisfiable", body
+        )
+        assert status == 200, envelope
+        assert item["ok"], item
+        assert envelope["result"]["satisfiable"] is item["result"]["satisfiable"] is True
+
 
 class TestStats:
     def test_stats_merge_service_registry_and_engines(self, client, fingerprint):
