@@ -71,9 +71,6 @@ class _MalformedLine:
     def __init__(self, message: str):
         self.message = message
 
-    def __repr__(self) -> str:
-        return f"_MalformedLine({self.message!r})"
-
 
 @dataclass(frozen=True)
 class BatchPlan:

@@ -29,6 +29,7 @@ Design points:
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import OrderedDict
@@ -170,6 +171,15 @@ def parse_schema_text(text: str, syntax: str = "scmdl", wrap: bool = False) -> S
     )
 
 
+def _parse_frozen(text: str, syntax: str, wrap: bool) -> Schema:
+    """A parsed schema, fingerprinted: fingerprinting freezes it, so the
+    registry's parse memo can hand one object to any number of entries
+    and engines."""
+    schema = parse_schema_text(text, syntax=syntax, wrap=wrap)
+    schema.fingerprint()
+    return schema
+
+
 class SchemaRegistry:
     """A bounded LRU map from schema fingerprints to compiled schemas.
 
@@ -206,9 +216,10 @@ class SchemaRegistry:
         self._unregistered = 0
         self._migrations = 0
         self._migrations_rejected = 0
-        self._parses: "OrderedDict[tuple, Schema]" = OrderedDict()
-        self._parse_hits = 0
-        self._parse_misses = 0
+        # Sound because a parse is a pure function of (text, syntax, wrap).
+        self._parse_memo = functools.lru_cache(maxsize=SCHEMA_MEMO_ENTRIES)(
+            _parse_frozen
+        )
         if store is not None and restore:
             self._restore_from_store()
 
@@ -254,33 +265,13 @@ class SchemaRegistry:
 
         Successful parses of texts up to :data:`SCHEMA_MEMO_MAX_CHARS`
         characters are kept in a bounded LRU (:data:`SCHEMA_MEMO_ENTRIES`)
-        keyed by ``(text, syntax, wrap)``; errors are not kept.  Every
-        schema is fingerprinted before it is stored, which freezes it, so
-        the one object can back any number of entries and engines.  The
-        parse itself runs outside the lock.  ``misses`` counts every call
-        that ran the parser, failed and over-long texts included.
+        keyed by ``(text, syntax, wrap)``; errors are not kept, and
+        longer texts bypass the memo.  The memo holds no lock while it
+        parses.
         """
-        key = (text, syntax, wrap)
-        memoize = len(text) <= SCHEMA_MEMO_MAX_CHARS
-        with self._lock:
-            schema = self._parses.get(key) if memoize else None
-            if schema is not None:
-                self._parses.move_to_end(key)
-                self._parse_hits += 1
-                return schema
-            self._parse_misses += 1
-        schema = parse_schema_text(text, syntax=syntax, wrap=wrap)
-        schema.fingerprint()
-        if not memoize:
-            return schema
-        with self._lock:
-            # A racing parse of the same text may have stored first; hand
-            # out that one object.
-            schema = self._parses.setdefault(key, schema)
-            self._parses.move_to_end(key)
-            while len(self._parses) > SCHEMA_MEMO_ENTRIES:
-                self._parses.popitem(last=False)
-        return schema
+        if len(text) > SCHEMA_MEMO_MAX_CHARS:
+            return _parse_frozen(text, syntax, wrap)
+        return self._parse_memo(text, syntax, wrap)
 
     def register(
         self, text: str, syntax: str = "scmdl", wrap: bool = False
@@ -553,12 +544,13 @@ class SchemaRegistry:
                 "unregistered": self._unregistered,
                 "migrations": self._migrations,
                 "migrations_rejected": self._migrations_rejected,
-                "parse_memo": {
-                    "hits": self._parse_hits,
-                    "misses": self._parse_misses,
-                    "size": len(self._parses),
-                },
             }
+        memo = self._parse_memo.cache_info()
+        counters["parse_memo"] = {
+            "hits": memo.hits,
+            "misses": memo.misses,
+            "size": memo.currsize,
+        }
         if self.store is not None:
             counters["store"] = self.store.stats()
         engines = {}
