@@ -591,66 +591,6 @@ def cmd_serve(args: argparse.Namespace) -> Outcome:
     return EXIT_OK, {"served": True}
 
 
-def cmd_replay(args: argparse.Namespace) -> Outcome:
-    from .replay import ReplayConfig, SLOSpec, run_replay
-
-    if args.slo_file:
-        slo = SLOSpec.from_file(args.slo_file)
-    else:
-        slo = SLOSpec(
-            p95_ms=args.slo_p95_ms,
-            p99_ms=args.slo_p99_ms,
-            error_rate=args.slo_error_rate,
-            min_rps=args.slo_min_rps,
-        )
-    domains = (
-        [name.strip() for name in args.domains.split(",") if name.strip()]
-        if args.domains
-        else None
-    )
-    config = ReplayConfig(
-        host=args.host,
-        port=args.port,
-        seed=args.seed,
-        duration_s=args.duration,
-        mix=args.mix,
-        domains=domains,
-        concurrency=args.concurrency,
-        rate=args.rate,
-        scenario=args.scenario,
-        slo=slo,
-        output=args.output,
-    )
-    exit_code, report = run_replay(config)
-    if not args.json:
-        totals = report["totals"]
-        print(
-            f"replay: {totals['requests']} requests in "
-            f"{report['duration_s']}s ({totals['rps']} rps), "
-            f"error_rate={totals['error_rate']}, "
-            f"5xx={totals['errors_5xx']}, 4xx={totals['errors_4xx']}"
-        )
-        for endpoint, block in sorted(report["endpoints"].items()):
-            latency = block["latency_ms"]
-            print(
-                f"  {endpoint:<12} n={block['requests']:<6} "
-                f"p50={latency['p50']}ms p95={latency['p95']}ms "
-                f"p99={latency['p99']}ms max={latency['max']}ms"
-            )
-        for violation in report["slo"]["violations"]:
-            print(
-                f"  SLO VIOLATION [{violation['scope']}] "
-                f"{violation['metric']}={violation['measured']} "
-                f"(bound {violation['threshold']})",
-                file=sys.stderr,
-            )
-        if config.output:
-            print(f"report written to {config.output}")
-    # The replay gate owns this command's exit semantics: 0 = pass,
-    # 1 = degraded (server errors within SLO), 2 = SLO violation.
-    return exit_code, report
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -956,71 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="automata backend of every schema engine the daemon builds, "
         "and of the artifact store (default: REPRO_BACKEND env var, "
         "then 'compiled')",
-    )
-
-    replay_cmd = add_command(
-        "replay",
-        cmd_replay,
-        help="drive a running daemon with multi-domain traffic and gate "
-        "the measured latencies/error rate on SLO thresholds",
-    )
-    replay_cmd.add_argument("--host", default="127.0.0.1")
-    replay_cmd.add_argument("--port", type=int, default=8421)
-    replay_cmd.add_argument("--seed", type=int, default=0)
-    replay_cmd.add_argument(
-        "--duration", type=float, default=10.0, help="run length in seconds"
-    )
-    replay_cmd.add_argument(
-        "--mix",
-        default="default",
-        help="traffic mix: a preset name or 'op=weight,...' "
-        "over satisfiable/check/infer/evaluate/batch",
-    )
-    replay_cmd.add_argument(
-        "--domains",
-        default=None,
-        help="comma-separated domain names (default: all ten)",
-    )
-    replay_cmd.add_argument(
-        "--concurrency", type=int, default=4, help="worker threads"
-    )
-    replay_cmd.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="open-loop target rps (default: closed loop)",
-    )
-    replay_cmd.add_argument(
-        "--scenario",
-        choices=("steady", "cache-pressure"),
-        default="steady",
-        help="'cache-pressure' registers more schemas than the registry "
-        "LRU bound to exercise eviction + artifact-store reload",
-    )
-    replay_cmd.add_argument(
-        "--slo-p95-ms", type=float, default=None, help="per-endpoint p95 bound"
-    )
-    replay_cmd.add_argument(
-        "--slo-p99-ms", type=float, default=None, help="per-endpoint p99 bound"
-    )
-    replay_cmd.add_argument(
-        "--slo-error-rate",
-        type=float,
-        default=None,
-        help="max fraction of 5xx/transport failures",
-    )
-    replay_cmd.add_argument(
-        "--slo-min-rps", type=float, default=None, help="min overall throughput"
-    )
-    replay_cmd.add_argument(
-        "--slo-file",
-        default=None,
-        help="JSON SLO spec (overrides the --slo-* flags)",
-    )
-    replay_cmd.add_argument(
-        "--output",
-        default="BENCH_replay.json",
-        help="report path ('' to skip writing)",
     )
 
     return parser

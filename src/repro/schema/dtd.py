@@ -26,10 +26,12 @@ declares a text element.)
 from __future__ import annotations
 
 import re
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from ..automata.parser import regex_to_string
 from ..automata.syntax import EPSILON, Regex, alt, concat, opt, plus, star, sym
+from ..cancellation import current_deadline, raise_if_cancelled
 from .model import Schema, TypeDef, TypeKind
 
 _DECL_RE = re.compile(r"<!ELEMENT\s+([A-Za-z_:][A-Za-z0-9_.:\-]*)\s+(.*?)>", re.DOTALL)
@@ -54,12 +56,14 @@ def parse_dtd(text: str, wrap: bool = False) -> Schema:
     if not declarations:
         raise DtdError("no <!ELEMENT ...> declarations found")
     names = [name for name, _content in declarations]
-    if len(set(names)) != len(names):
-        duplicates = sorted({n for n in names if names.count(n) > 1})
+    duplicates = sorted(n for n, count in Counter(names).items() if count > 1)
+    if duplicates:
         raise DtdError(f"duplicate element declarations: {duplicates}")
     tid_of = _assign_tids(names)
+    cancel = current_deadline()
     types: List[TypeDef] = []
     for name, content in declarations:
+        raise_if_cancelled(cancel)
         types.append(_declaration_to_type(name, content.strip(), tid_of))
     if wrap:
         from ..automata.syntax import sym

@@ -43,6 +43,7 @@ from ..automata import (
     Sym,
     homogeneous_alternatives,
 )
+from ..cancellation import current_deadline, raise_if_cancelled
 from ..data.model import AtomicValue
 
 if TYPE_CHECKING:  # pragma: no cover - the engine imports this module lazily
@@ -492,17 +493,25 @@ class Schema:
 
 
 def _compute_inhabited(schema: Schema, engine: "Engine") -> FrozenSet[str]:
-    """Least-fixpoint inhabitation check (the body behind ``inhabited_types``)."""
+    """Least-fixpoint inhabitation check (the body behind ``inhabited_types``).
+
+    Each round visits every type not yet inhabited, and a chain of n types
+    takes n rounds, so every visit polls the caller's deadline.
+    """
+    cancel = current_deadline()
     inhabited: Set[str] = {t.tid for t in schema if t.is_atomic}
-    compiled = {
-        t.tid: engine.content_nfa(schema, t.tid) for t in schema if not t.is_atomic
-    }
+    compiled = {}
+    for type_def in schema:
+        if not type_def.is_atomic:
+            raise_if_cancelled(cancel)
+            compiled[type_def.tid] = engine.content_nfa(schema, type_def.tid)
     changed = True
     while changed:
         changed = False
         for type_def in schema:
             if type_def.tid in inhabited or type_def.is_atomic:
                 continue
+            raise_if_cancelled(cancel)
             restricted = _restrict_to_targets(compiled[type_def.tid], inhabited)
             if not restricted.is_empty():
                 inhabited.add(type_def.tid)
@@ -514,8 +523,10 @@ def _compute_possible_edges(
     schema: Schema, engine: "Engine"
 ) -> Dict[str, FrozenSet[Tuple[str, str]]]:
     """The schema-graph body behind ``possible_edges``."""
+    cancel = current_deadline()
     result: Dict[str, FrozenSet[Tuple[str, str]]] = {}
     for type_def in schema:
+        raise_if_cancelled(cancel)
         if type_def.is_atomic:
             result[type_def.tid] = frozenset()
             continue

@@ -174,7 +174,6 @@ class ServiceState:
                     code="unknown-schema",
                     status=404,
                 )
-            self.metrics.record_unregister()
             return 200, ok_envelope(command, {"evicted": fingerprint})
         # A POST route on a fixed path: "POST /infer" -> do_infer.
         handler: Callable[[Dict[str, Any]], dict] = getattr(
@@ -426,7 +425,7 @@ class ServiceState:
             ),
         )
         self.metrics.record_migration(
-            report.accepted, len(report.queries), report.counts.get("breaks", 0)
+            len(report.queries), report.counts.get("breaks", 0)
         )
         return {
             "accepted": report.accepted,

@@ -15,8 +15,8 @@ outside, with no process introspection.
 Each endpoint snapshot carries a ``percentiles`` block (p50/p95/p99)
 interpolated from the histogram buckets.  These are *estimates* — exact
 within a bucket's width, with the unbounded tail bucket closed at the
-observed maximum; the replay harness (``repro replay``) records exact
-client-side percentiles from raw samples and reports both.
+observed maximum; a load generator that keeps raw samples (``perfbench``)
+computes exact client-side percentiles itself.
 """
 
 from __future__ import annotations
@@ -139,12 +139,8 @@ class ServiceMetrics:
         self._batch_item_errors = 0
         self._batch_total_ms = 0.0
         self._batch_max_ms = 0.0
-        self._migrations = 0
-        self._migrations_accepted = 0
-        self._migrations_rejected = 0
         self._migration_queries = 0
         self._migration_breaks = 0
-        self._unregisters = 0
         self._clock_skew = 0
 
     def mark_started(self, now: float) -> None:
@@ -197,26 +193,17 @@ class ServiceMetrics:
             self._batch_total_ms += elapsed_ms
             self._batch_max_ms = max(self._batch_max_ms, elapsed_ms)
 
-    def record_migration(self, accepted: bool, queries: int, breaks: int) -> None:
+    def record_migration(self, queries: int, breaks: int) -> None:
         """Record one finished ``/schemas/{fp}/migrate`` analysis.
 
-        Tracks the delta subsystem's decisions: how many migrations were
-        analyzed, how many met their policy, and how many registered
-        queries the rejected ones would have broken.
+        Tracks how many registered queries the delta subsystem analyzed
+        and how many of them a migration would have broken.  The registry
+        counts the migrations themselves (``migrations``,
+        ``migrations_rejected``) and the unregisters (``unregistered``).
         """
         with self._lock:
-            self._migrations += 1
-            if accepted:
-                self._migrations_accepted += 1
-            else:
-                self._migrations_rejected += 1
             self._migration_queries += queries
             self._migration_breaks += breaks
-
-    def record_unregister(self) -> None:
-        """Record one explicit ``DELETE /schemas/{fp}``."""
-        with self._lock:
-            self._unregisters += 1
 
     def snapshot(self) -> dict:
         """All per-endpoint counters plus request/error and batch totals."""
@@ -239,12 +226,8 @@ class ServiceMetrics:
                 },
             }
             delta = {
-                "migrations": self._migrations,
-                "accepted": self._migrations_accepted,
-                "rejected": self._migrations_rejected,
                 "queries_analyzed": self._migration_queries,
                 "queries_broken": self._migration_breaks,
-                "unregisters": self._unregisters,
             }
             clock_skew = self._clock_skew
         return {

@@ -97,8 +97,7 @@ class RegisteredSchema:
     #: entry), so every decision endpoint is a pure function of its
     #: request — the memo turns the warm path for a repeated request
     #: into one dict lookup instead of thousands of engine-cache probes
-    #: (BENCH_service's ``warm_hit_delta`` showed ~1000 cache re-entries
-    #: per warm ``/infer``).
+    #: (a warm ``/infer`` re-entered the engine cache about 1,000 times).
     decisions: "OrderedDict[tuple, object]" = field(
         default_factory=OrderedDict, repr=False
     )
@@ -187,8 +186,9 @@ class SchemaRegistry:
     registry gains a durable tier: every registration persists its
     compiled artifact, and construction *restores* the store's resident
     artifacts — so a daemon restart comes back with every previously
-    registered schema already compiled and serves warm-level latency on
-    the first request wave (see ``benchmarks/bench_cold_start.py``).
+    registered schema already compiled, and its first request wave
+    misses no schema-side engine-cache kind
+    (``tests/service/test_registry_store.py``).
     """
 
     def __init__(
@@ -308,8 +308,8 @@ class SchemaRegistry:
             # Durable tier hit: the compiled working set was installed
             # from disk; nothing to rebuild, nothing to persist.  This is
             # the path an evicted-then-re-registered schema takes under
-            # cache pressure — counted so a replay run can assert the
-            # store actually served the reload.
+            # cache pressure — counted so ``/stats`` shows the store
+            # served the reload (perfbench's schema-churn guards it).
             info["store_hit"] = True
             with self._lock:
                 self._store_hits += 1

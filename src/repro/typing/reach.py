@@ -25,6 +25,7 @@ them, hash them, pass them back in — never inspect them.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..automata.syntax import Regex
@@ -55,6 +56,25 @@ class SchemaReach:
         # engine-level lookup (alphabet union + key build + lock) costs
         # more than the identity-hash dict hit on a hash-consed regex.
         self._runners: Dict[Regex, Runner] = {}
+        # The engine keeps this object resident for as long as the schema
+        # is queried, so each memo is held to the engine cache's own bound
+        # (None: unbounded, like the engine).  Lookups take no lock; the
+        # lock makes the size check and the insert one step for threads
+        # sharing the engine.
+        self._max_entries = self.engine.cache.max_entries
+        self._memo_lock = threading.Lock()
+
+    def _remember(self, memo: dict, key, value) -> None:
+        """Store ``value``, first clearing ``memo`` if it is full.
+
+        A search that loses its runner this way gets the engine's, or a
+        fresh compile of the same path: compilation is deterministic, so
+        its states mean what they meant before.
+        """
+        with self._memo_lock:
+            if self._max_entries is not None and len(memo) >= self._max_entries:
+                memo.clear()
+            memo[key] = value
 
     def path(self, regex: Regex) -> Runner:
         """The path automaton on the engine's backend (walk contract)."""
@@ -63,7 +83,7 @@ class SchemaReach:
             runner = self.engine.path_runner(
                 regex, self.labels | frozenset(regex.symbols())
             )
-            self._runners[regex] = runner
+            self._remember(self._runners, regex, runner)
         return runner
 
     def initial_states(self, regex: Regex):
@@ -112,8 +132,9 @@ class SchemaReach:
         2^n of them for some n-state paths, so the walk polls the
         caller's deadline before expanding each configuration."""
         key = (regex, start_type, state)
-        if key in self._completions:
-            return self._completions[key]
+        cached = self._completions.get(key)
+        if cached is not None:
+            return cached
         seen: Set[Tuple[str, object]] = {(start_type, state)}
         stack = [(start_type, state)]
         runner = self.path(regex)
@@ -127,7 +148,7 @@ class SchemaReach:
                     seen.add((target, after))
                     stack.append((target, after))
         result = frozenset(seen)
-        self._completions[key] = result
+        self._remember(self._completions, key, result)
         return result
 
     def reachable_end_types(

@@ -38,7 +38,6 @@ from .domains import (
     build_domain,
     corpus_records,
     domain_corpus,
-    pressure_variants,
 )
 from .domains import corpus_to_ndjson as domain_corpus_ndjson
 from .mutations import (
@@ -65,7 +64,6 @@ __all__ = [
     "corpus_records",
     "domain_corpus",
     "domain_corpus_ndjson",
-    "pressure_variants",
     "bounded_join_query",
     "chain_query",
     "chain_schema",

@@ -1,4 +1,4 @@
-"""Multi-domain schema/query corpora for the replay harness.
+"""Multi-domain schema/query corpora for service traffic.
 
 Ten themed domains — social graph, bibliography, commerce, telemetry,
 filesystem, org chart, geo, citation, config, messaging — each a
@@ -8,8 +8,9 @@ of partial type assignments for ``/check``, and a pool of conforming
 documents for ``/evaluate``.  This is the corpus layer the ROADMAP asks
 for in the spirit of text2typeql's 15-domain validated query set: the
 single-family synthetic generators in :mod:`repro.workloads.schemas`
-measure one shape at a time, while a replay run over these domains
-exercises the service the way mixed production traffic would.
+measure one shape at a time, while traffic over these domains (the
+request pools of ``perfbench``'s workloads) exercises the service the
+way mixed production traffic would.
 
 Realism knobs:
 
@@ -671,8 +672,8 @@ def build_domain(
 
     Equal ``(name, seed, scale, ...)`` tuples produce byte-identical
     corpora in any process; different seeds vary the schema structure
-    (and therefore the fingerprint), which is what lets the replay
-    harness mint arbitrarily many distinct schemas for cache pressure.
+    (and therefore the fingerprint), so a workload can mint arbitrarily
+    many distinct schemas.
     """
     builder = _BUILDERS.get(name)
     if builder is None:
@@ -744,37 +745,6 @@ def domain_corpus(
             )
         )
     return corpora
-
-
-def pressure_variants(
-    count: int,
-    seed: int = 0,
-    names: Optional[Sequence[str]] = None,
-) -> List[DomainCorpus]:
-    """``count`` corpora with pairwise-distinct fingerprints.
-
-    Cycles the domains while stepping ``scale`` by 4 per lap — wider than
-    any builder's seeded jitter (≤ 2), so the structural counts strictly
-    increase per domain and no two variants can share a fingerprint.
-    The replay harness uses this to mint more schemas than the registry
-    LRU bound and force eviction + artifact-store reload under load.
-    """
-    chosen = tuple(names) if names is not None else DOMAIN_NAMES
-    variants = []
-    for index in range(max(0, count)):
-        name = chosen[index % len(chosen)]
-        scale = 2 + 4 * (index // len(chosen))
-        variants.append(
-            build_domain(
-                name,
-                seed=seed + index,
-                scale=scale,
-                n_queries=2,
-                n_checks=1,
-                n_documents=1,
-            )
-        )
-    return variants
 
 
 def corpus_records(corpora: Sequence[DomainCorpus]) -> List[Dict[str, object]]:

@@ -371,6 +371,55 @@ class TestRegistrationDeadline:
             assert client.register_schema(blow_up_schema(1))["fingerprint"]
 
 
+def _chain_scmdl(n: int) -> str:
+    """``T0 = [a -> T1]; ...; Tn = string``: the inhabitation fixpoint
+    inhabits one more type per round, about n^2 / 2 type visits."""
+    return "; ".join([f"T{i} = [a -> T{i + 1}]" for i in range(n)] + [f"T{n} = string"])
+
+
+def _chain_dtd(n: int) -> str:
+    """The same chain as element declarations."""
+    declarations = [f"<!ELEMENT e{i} (e{i + 1})>" for i in range(n)]
+    return "\n".join(declarations + [f"<!ELEMENT e{n} #PCDATA>"])
+
+
+def _duplicate_dtd(n: int) -> str:
+    """``n`` declarations, the last of them declaring the first again."""
+    declarations = [f"<!ELEMENT e{i} (e{i + 1})?>" for i in range(n - 1)]
+    return "\n".join(declarations + ["<!ELEMENT e0 #PCDATA>"])
+
+
+#: name -> (registration body, expected status); each is far under the
+#: 1-MiB body cap.
+REGISTRATION_PROBES = {
+    "scmdl-chain": (lambda: {"schema": _chain_scmdl(1000)}, 503),
+    "dtd-chain": (lambda: {"schema": _chain_dtd(1000), "syntax": "dtd"}, 503),
+    "dtd-duplicate": (lambda: {"schema": _duplicate_dtd(20_000), "syntax": "dtd"}, 400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRATION_PROBES))
+def test_registration_probe_answers_within_its_deadline(name):
+    """The inhabitation fixpoint, the schema-graph builder and the DTD
+    declaration loop did not poll, and the DTD duplicate check counted
+    every name once per name: with a 0.05-s deadline the two 1,000-type
+    chains answered 503 after 2-3 s and the 20,000-declaration DTD its
+    400 after 5.5 s."""
+    make_body, expected = REGISTRATION_PROBES[name]
+    with TypedQueryService(port=0) as svc, ServiceClient(svc.host, svc.port) as client:
+        status, envelope, elapsed = _send(client, "/schemas", dict(make_body(), deadline=0.05))
+        if expected == 503:
+            _assert_timed_out(status, envelope, elapsed)
+        else:
+            assert status == 400, envelope
+            assert envelope["error"]["code"] == "parse-error"
+            assert "duplicate element declarations: ['e0']" in envelope["error"]["message"]
+            assert elapsed < ANSWER_WITHIN
+        _assert_server_free(
+            client, "/schemas", {"schema": PATH_SCHEMA}, timeouts=int(expected == 503)
+        )
+
+
 class TestCancelledCompileLeavesNothing:
     def test_no_cache_entry_no_memo_and_the_same_answer_after(self):
         limits = ServiceLimits(max_slots=1)

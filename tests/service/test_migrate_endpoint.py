@@ -274,10 +274,9 @@ class TestUnregister:
         registry_stats = envelope["result"]["registry"]
         assert registry_stats["migrations"] == 1
         assert registry_stats["migrations_rejected"] == 1
-        delta = envelope["result"]["service"]["delta"]
-        assert delta["migrations"] == 2
-        assert delta["accepted"] == 1
-        assert delta["rejected"] == 1
-        assert delta["queries_analyzed"] == 2
-        assert delta["unregisters"] == 0
+        assert registry_stats["unregistered"] == 0
+        assert envelope["result"]["service"]["delta"] == {
+            "queries_analyzed": 2,
+            "queries_broken": 0,
+        }
         assert registry_stats["store"]["deletes"] >= 1

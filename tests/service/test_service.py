@@ -2,9 +2,11 @@
 
 One shared server (module scope) backs the happy-path endpoint tests;
 the deadline/timeout tests boot their own server so abandoned
-computations cannot perturb the shared one's counters.
+computations cannot perturb the shared one's counters.  The ten-domain
+corpus goes through the request handler directly.
 """
 
+import json
 import random
 import time
 
@@ -21,6 +23,8 @@ from repro.service import (
     ServiceResponseError,
     TypedQueryService,
 )
+from repro.service.daemon import ServiceState
+from repro.workloads import domain_corpus
 
 SCHEMA = """
 DOCUMENT = [(paper -> PAPER)*];
@@ -432,3 +436,29 @@ class TestDeadlineRunner:
         finally:
             release.set()
             holder.join(timeout=5)
+
+
+class TestDomainCorpus:
+    def test_every_corpus_request_is_answered(self):
+        """Every query, check and document of the ten domains, sent to
+        ``/satisfiable``, ``/infer``, ``/check`` and ``/evaluate``: each
+        answers 200, none 5xx."""
+        state = ServiceState()
+
+        def post(path, payload):
+            status, envelope = state.handle("POST", path, json.dumps(payload).encode())
+            assert status == 200, (path, payload, envelope)
+            return envelope["result"]
+
+        corpora = domain_corpus(seed=7)
+        assert len(corpora) == 10
+        for corpus in corpora:
+            fingerprint = post("/schemas", {"schema": corpus.schema_text})["fingerprint"]
+            for query in corpus.queries:
+                body = {"fingerprint": fingerprint, "query": query}
+                post("/satisfiable", body)
+                post("/infer", body)
+                for document in corpus.documents:
+                    post("/evaluate", dict(body, data=document))
+            for check in corpus.check_payloads():
+                post("/check", {"fingerprint": fingerprint, **check})

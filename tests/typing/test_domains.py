@@ -1,7 +1,7 @@
-"""Tests for the multi-domain replay corpora (`repro.workloads.domains`).
+"""Tests for the multi-domain corpora (`repro.workloads.domains`).
 
-The load-bearing property is determinism: the replay harness, the CI
-smoke job, and the artifact store all assume that a given
+The load-bearing property is determinism: perfbench's request pools and
+reference answers, and the artifact store, all assume that a given
 ``(domain, seed, scale)`` names *one* corpus, byte-for-byte, in every
 process — including processes with different ``PYTHONHASHSEED``.
 """
@@ -23,7 +23,6 @@ from repro.workloads.domains import (
     corpus_records,
     corpus_to_ndjson,
     domain_corpus,
-    pressure_variants,
 )
 
 _HASH_SNIPPET = """
@@ -129,19 +128,3 @@ class TestCorpusShape:
             build_domain("nosuch", seed=0)
         with pytest.raises(ValueError, match="unknown domains"):
             domain_corpus(seed=0, names=["social", "nosuch"])
-
-
-class TestPressureVariants:
-    def test_fingerprints_pairwise_distinct(self):
-        variants = pressure_variants(40, seed=11)
-        fingerprints = [variant.fingerprint for variant in variants]
-        assert len(set(fingerprints)) == len(variants) == 40
-
-    def test_cycles_all_domains(self):
-        variants = pressure_variants(len(DOMAIN_NAMES) * 2, seed=0)
-        assert {variant.name for variant in variants} == set(DOMAIN_NAMES)
-
-    def test_deterministic(self):
-        first = [v.fingerprint for v in pressure_variants(15, seed=4)]
-        second = [v.fingerprint for v in pressure_variants(15, seed=4)]
-        assert first == second
