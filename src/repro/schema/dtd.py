@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..automata.parser import regex_to_string
 from ..automata.syntax import EPSILON, Regex, alt, concat, opt, plus, star, sym
-from ..cancellation import current_deadline, raise_if_cancelled
+from ..cancellation import POLL_EVERY, current_deadline, raise_if_cancelled
 from .model import Schema, TypeDef, TypeKind
 
 _DECL_RE = re.compile(r"<!ELEMENT\s+([A-Za-z_:][A-Za-z0-9_.:\-]*)\s+(.*?)>", re.DOTALL)
@@ -106,13 +106,19 @@ def _declaration_to_type(name: str, content: str, tid_of: Dict[str, str]) -> Typ
 
 
 class _ContentParser:
-    """Recursive-descent parser for DTD content models."""
+    """Recursive-descent parser for DTD content models.
+
+    One model can hold most of a body-sized DTD (a choice among every
+    element), so the parser polls the caller's deadline as it consumes
+    tokens.
+    """
 
     def __init__(self, text: str, tid_of: Dict[str, str], element: str):
         self.tokens = re.findall(r"[(),|*+?]|#?[A-Za-z_:][A-Za-z0-9_.:\-]*", text)
         self.pos = 0
         self.tid_of = tid_of
         self.element = element
+        self.cancel = current_deadline()
 
     def error(self, message: str) -> DtdError:
         return DtdError(f"in content model of <!ELEMENT {self.element}>: {message}")
@@ -123,6 +129,8 @@ class _ContentParser:
     def advance(self) -> str:
         token = self.tokens[self.pos]
         self.pos += 1
+        if self.pos % POLL_EVERY == 0:
+            raise_if_cancelled(self.cancel)
         return token
 
     def parse(self) -> Regex:

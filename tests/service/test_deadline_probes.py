@@ -389,22 +389,29 @@ def _duplicate_dtd(n: int) -> str:
     return "\n".join(declarations + ["<!ELEMENT e0 #PCDATA>"])
 
 
-#: name -> (registration body, expected status); each is far under the
+def _wide_dtd(n: int) -> str:
+    """A root whose one content model chooses among ``n`` text elements."""
+    root = "<!ELEMENT root (" + " | ".join(f"e{i}" for i in range(n)) + ")*>"
+    return "\n".join([root] + [f"<!ELEMENT e{i} #PCDATA>" for i in range(n)])
+
+
+#: name -> (registration body, expected status); each is under the
 #: 1-MiB body cap.
 REGISTRATION_PROBES = {
     "scmdl-chain": (lambda: {"schema": _chain_scmdl(1000)}, 503),
     "dtd-chain": (lambda: {"schema": _chain_dtd(1000), "syntax": "dtd"}, 503),
     "dtd-duplicate": (lambda: {"schema": _duplicate_dtd(20_000), "syntax": "dtd"}, 400),
+    "dtd-wide": (lambda: {"schema": _wide_dtd(29_000), "syntax": "dtd"}, 503),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRATION_PROBES))
 def test_registration_probe_answers_within_its_deadline(name):
     """The inhabitation fixpoint, the schema-graph builder and the DTD
-    declaration loop did not poll, and the DTD duplicate check counted
-    every name once per name: with a 0.05-s deadline the two 1,000-type
-    chains answered 503 after 2-3 s and the 20,000-declaration DTD its
-    400 after 5.5 s."""
+    parser did not poll, and the DTD duplicate check counted every name
+    once per name: with a 0.05-s deadline the two 1,000-type chains
+    answered 503 after 2-3 s, the 20,000-declaration DTD its 400 after
+    5.5 s, and the 0.99-MB wide DTD 503 after 1.4 s."""
     make_body, expected = REGISTRATION_PROBES[name]
     with TypedQueryService(port=0) as svc, ServiceClient(svc.host, svc.port) as client:
         status, envelope, elapsed = _send(client, "/schemas", dict(make_body(), deadline=0.05))
