@@ -1,8 +1,13 @@
 """Unit tests for the schema model and Table-2 classifiers."""
 
+import contextvars
+import time
+
 import pytest
 
 from repro.automata import EPSILON, alt, concat, star, sym
+from repro.cancellation import Cancelled, bind
+from repro.engine import Engine
 from repro.schema import Schema, SchemaError, TypeDef, TypeKind, parse_schema
 
 DOCUMENT_SCHEMA = """
@@ -15,6 +20,21 @@ FIRSTNAME = string;
 LASTNAME = string;
 EMAIL = string
 """
+
+
+def _chain(n: int, end: str) -> str:
+    """``T0 = [a -> T1]; ...; T(n-1) = [a -> Tn]; Tn = <end>``."""
+    return "; ".join([f"T{i} = [a -> T{i + 1}]" for i in range(n)] + [f"T{n} = {end}"])
+
+
+def _past_deadline(fn):
+    """Run ``fn`` with a passed deadline bound in a copied context."""
+
+    def run():
+        bind(time.monotonic() - 1)
+        return fn()
+
+    return contextvars.copy_context().run(run)
 
 
 class TestTypeDef:
@@ -139,6 +159,22 @@ class TestInhabitation:
         schema = parse_schema("TREE = [(child -> TREE)*]")
         assert schema.inhabited_types() == {"TREE"}
 
+    def test_chain_is_inhabited_back_from_its_end(self):
+        """Each round of the fixpoint inhabits one more link of a chain
+        declared root first, so this needs all 20 rounds."""
+        schema = parse_schema(_chain(20, "string"))
+        assert schema.inhabited_types() == frozenset(schema.tids())
+        # A chain ending in a type with no finite instance has none at all.
+        schema = parse_schema(_chain(20, "[a -> T20]"))
+        assert schema.inhabited_types() == frozenset()
+
+    def test_fixpoint_polls_the_bound_deadline(self):
+        engine = Engine()
+        schema = parse_schema(_chain(5, "string"))
+        with pytest.raises(Cancelled):
+            _past_deadline(lambda: engine.inhabited_types(schema))
+        assert engine.inhabited_types(schema) == frozenset(schema.tids())
+
 
 class TestSchemaGraph:
     def test_possible_edges(self):
@@ -153,6 +189,16 @@ class TestSchemaGraph:
         edges = schema.possible_edges()
         assert ("a", "T") not in edges["ROOT"]
         assert ("b", "U") in edges["ROOT"]
+
+    def test_possible_edges_polls_the_bound_deadline(self):
+        """With inhabitation already cached, only the schema-graph loop
+        is left to stop at the passed deadline."""
+        engine = Engine()
+        schema = parse_schema(DOCUMENT_SCHEMA)
+        engine.inhabited_types(schema)
+        with pytest.raises(Cancelled):
+            _past_deadline(lambda: engine.possible_edges(schema))
+        assert ("paper", "PAPER") in engine.possible_edges(schema)["DOCUMENT"]
 
     def test_reachable_types(self):
         schema = parse_schema(

@@ -1,7 +1,11 @@
 """Unit tests for the schema textual syntax and the DTD bridge."""
 
+import contextvars
+import time
+
 import pytest
 
+from repro.cancellation import Cancelled, bind
 from repro.schema import (
     DtdError,
     parse_dtd,
@@ -102,6 +106,26 @@ class TestDtd:
     def test_duplicate_rejected(self):
         with pytest.raises(DtdError):
             parse_dtd("<!ELEMENT a EMPTY><!ELEMENT a EMPTY>")
+
+    def test_duplicate_message_names_each_duplicate_once(self):
+        text = "".join(
+            f"<!ELEMENT {name} EMPTY>" for name in ["b", "a", "c", "b", "a", "b"]
+        )
+        with pytest.raises(DtdError) as caught:
+            parse_dtd(text)
+        assert str(caught.value) == "duplicate element declarations: ['a', 'b']"
+
+    def test_parse_polls_the_bound_deadline(self):
+        """The declaration loop stops at a passed deadline; the binding
+        lives in a copied context, so this thread's stays unbound."""
+
+        def parse_past_deadline():
+            bind(time.monotonic() - 1)
+            return parse_dtd(PAPER_DTD)
+
+        with pytest.raises(Cancelled):
+            contextvars.copy_context().run(parse_past_deadline)
+        assert parse_dtd(PAPER_DTD).root == "DOCUMENT"
 
     def test_no_declarations(self):
         with pytest.raises(DtdError):

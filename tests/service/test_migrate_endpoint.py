@@ -256,6 +256,25 @@ class TestUnregister:
         status, _ = state.handle("DELETE", f"/schemas/{fingerprint}", b"")
         assert status == 404
 
+    def test_delete_counts_once_in_the_registry(self, tmp_path):
+        """The registry holds the one unregister count: a DELETE adds 1
+        to ``unregistered`` and to ``evicted`` (every removal), a DELETE
+        that 404s adds nothing, and the service metrics keep no copy."""
+        state = ServiceState(
+            registry=SchemaRegistry(store=ArtifactStore(root=tmp_path))
+        )
+        fingerprint = register(state)
+        register(state, WIDE)
+        for expected in (200, 404):
+            status, _ = state.handle("DELETE", f"/schemas/{fingerprint}", b"")
+            assert status == expected
+        _, envelope = state.handle("GET", "/stats", b"")
+        registry_stats = envelope["result"]["registry"]
+        assert registry_stats["unregistered"] == 1
+        assert registry_stats["evicted"] == 1
+        assert registry_stats["resident"] == 1
+        assert "unregisters" not in envelope["result"]["service"]["delta"]
+
     def test_stats_counters(self, tmp_path):
         state = ServiceState(
             registry=SchemaRegistry(store=ArtifactStore(root=tmp_path))
