@@ -211,9 +211,10 @@ def graph_field(item: Dict[str, Any]):
 def decision_key(operation: str, item: Dict[str, Any]) -> tuple:
     """The fields a ``satisfiable`` or ``infer`` result depends on, validated.
 
-    The daemon memoizes these two decisions per registered schema under
-    this key, and checks the key's fields before the memo lookup, so a
-    malformed request is rejected whether or not the memo would answer.
+    The daemon memoizes these two decisions in its registry's memo, under
+    the schema's fingerprint and then this key, and checks the key's
+    fields before the memo lookup, so a malformed request is rejected
+    whether or not the memo would answer.
     """
     text = string_field(item, "query")
     key = (operation, text, tuple(sorted(pins_field(item).items())))

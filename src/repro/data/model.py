@@ -31,6 +31,8 @@ from typing import (
     Union,
 )
 
+from ..cancellation import POLL_EVERY, current_deadline, raise_if_cancelled
+
 #: Atomic values allowed at leaves.
 AtomicValue = Union[str, int, float]
 
@@ -132,6 +134,10 @@ class DataGraphError(ValueError):
 class DataGraph:
     """A well-formed data graph.
 
+    Construction and validation poll the calling context's deadline
+    every :data:`~repro.cancellation.POLL_EVERY` nodes, so a large graph
+    in a request body unwinds near its deadline.
+
     Args:
         nodes: node definitions in order; the first one is the root.
         validate: if True (default), check all Section-2 well-formedness
@@ -145,7 +151,10 @@ class DataGraph:
         if not node_list:
             raise DataGraphError("a data graph needs at least one node")
         self.nodes: Dict[str, Node] = {}
-        for node in node_list:
+        cancel = current_deadline()
+        for index, node in enumerate(node_list):
+            if index % POLL_EVERY == 0:
+                raise_if_cancelled(cancel)
             if node.oid in self.nodes:
                 raise DataGraphError(f"oid {node.oid!r} defined more than once")
             self.nodes[node.oid] = node
@@ -158,8 +167,11 @@ class DataGraph:
     # ------------------------------------------------------------------
 
     def _validate(self) -> None:
+        cancel = current_deadline()
         occurrences: Dict[str, int] = {}
-        for node in self.nodes.values():
+        for index, node in enumerate(self.nodes.values()):
+            if index % POLL_EVERY == 0:
+                raise_if_cancelled(cancel)
             for edge in node.edges:
                 if edge.target not in self.nodes:
                     raise DataGraphError(
@@ -167,7 +179,9 @@ class DataGraph:
                         f"undefined oid {edge.target!r}"
                     )
                 occurrences[edge.target] = occurrences.get(edge.target, 0) + 1
-        for oid, node in self.nodes.items():
+        for index, (oid, node) in enumerate(self.nodes.items()):
+            if index % POLL_EVERY == 0:
+                raise_if_cancelled(cancel)
             count = occurrences.get(oid, 0)
             if not node.is_referenceable:
                 if oid == self.root:
@@ -224,10 +238,15 @@ class DataGraph:
 
     def reachable_from(self, oid: str) -> List[str]:
         """Oids reachable from ``oid`` (including it), depth-first preorder."""
+        cancel = current_deadline()
         seen = {oid}
         order = [oid]
         stack = [oid]
+        visits = 0
         while stack:
+            visits += 1
+            if visits % POLL_EVERY == 0:
+                raise_if_cancelled(cancel)
             current = stack.pop()
             for edge in reversed(self.nodes[current].edges):
                 if edge.target not in seen:

@@ -219,11 +219,14 @@ class ServiceState:
         """``body`` decided by the batch table's ``operation`` handler.
 
         It runs under the deadline runner over the entry's engine and,
-        given a ``key``, through the entry's decision memo: the result is
-        a pure function of the key's fields, and the entry is immutable
-        for the fingerprint's lifetime, so a repeated warm request is one
-        dict lookup instead of a walk re-entering the engine cache
-        hundreds of times.  A hit returns a copy.
+        given a ``key``, through the registry's decision memo: the result
+        is a pure function of the key's fields and of the schema the
+        fingerprint names, so a repeated request is one dict lookup
+        instead of a walk re-entering the engine cache hundreds of times,
+        even when the schema was evicted or deleted and registered again
+        in between.  The caller has already found ``entry``, so a
+        fingerprint that is not registered answers 404 whatever the memo
+        holds.  A hit returns a copy.
         """
 
         def run() -> dict:
@@ -232,7 +235,10 @@ class ServiceState:
                 deadline,
             )
 
-        result = run() if key is None else dict(entry.cached_decision(key, run))
+        if key is None:
+            result = run()
+        else:
+            result = dict(self.registry.cached_decision(entry, key, run))
         result["fingerprint"] = entry.fingerprint
         return result
 

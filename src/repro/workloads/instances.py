@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..automata.nfa import EPS, NFA
 from ..data.model import DataGraph, Edge, Node, NodeKind
@@ -170,52 +170,6 @@ def _random_value(atomic: str, rng: random.Random) -> object:
     return round(rng.uniform(0, 10), 3)
 
 
-def _inhabitation_ranks(schema: Schema) -> Dict[str, int]:
-    """Round at which each type became inhabited in the least fixpoint.
-
-    A type of rank ``r`` has a content word all of whose targets have rank
-    strictly below ``r`` — the handle that makes shortest-instance
-    construction terminate on recursive schemas.
-    """
-    ranks: Dict[str, int] = {t.tid: 0 for t in schema if t.is_atomic}
-    compiled = {t.tid: schema.compile_regex(t.tid) for t in schema if not t.is_atomic}
-    round_index = 0
-    changed = True
-    while changed:
-        changed = False
-        round_index += 1
-        known = set(ranks)
-        for type_def in schema:
-            if type_def.tid in ranks or type_def.is_atomic:
-                continue
-            nfa = compiled[type_def.tid]
-            if _accepts_over_targets(nfa, known):
-                ranks[type_def.tid] = round_index
-                changed = True
-    return ranks
-
-
-def _accepts_over_targets(nfa: NFA, targets: Set[str]) -> bool:
-    states = nfa.initial_states()
-    seen = {states}
-    stack = [states]
-    while stack:
-        current = stack.pop()
-        if current & nfa.accepting:
-            return True
-        symbols = set()
-        for q in current:
-            for symbol, _dst in nfa.arcs_from(q):
-                if symbol is not EPS and symbol[1] in targets:
-                    symbols.add(symbol)
-        for symbol in symbols:
-            nxt = nfa.step(current, symbol)
-            if nxt and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
 def _sample_word(
     schema: Schema,
     tid: str,
@@ -232,7 +186,7 @@ def _sample_word(
     termination on recursive schemas.
     """
     nfa = schema.compile_regex(tid)
-    ranks = _inhabitation_ranks(schema)
+    ranks = schema.inhabitation_ranks()
 
     def allowed(symbol) -> bool:
         if symbol[1] not in inhabited:

@@ -1,7 +1,12 @@
 """Unit tests for the data-graph model and well-formedness rules."""
 
+import contextvars
+import time
+
 import pytest
 
+import repro.data.model as data_model
+from repro.cancellation import POLL_EVERY, Cancelled, bind
 from repro.data import DataGraph, DataGraphError, Edge, GraphBuilder, Node, NodeKind
 
 
@@ -142,3 +147,42 @@ class TestDataGraph:
             validate=False,
         )
         assert "missing" not in graph
+
+
+def _wide_graph(n: int):
+    """A root with ``n - 1`` atomic children."""
+    children = [Node(f"o{i}", NodeKind.ATOMIC, value=i) for i in range(1, n)]
+    root = Node("o0", NodeKind.ORDERED, edges=[Edge("a", child.oid) for child in children])
+    return [root] + children
+
+
+class TestDeadlinePolls:
+    def _build_under(self, deadline, nodes, validate):
+        def run():
+            bind(deadline)
+            return DataGraph(nodes, validate=validate)
+
+        return contextvars.copy_context().run(run)
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_building_polls_every_poll_every_nodes(self, monkeypatch, validate):
+        """Construction and validation of a 0.9-MB graph took about 75 ms
+        with no poll point, so a deadline that fell there overran."""
+        polls = []
+        real = data_model.raise_if_cancelled
+        monkeypatch.setattr(
+            data_model,
+            "raise_if_cancelled",
+            lambda deadline: polls.append(deadline) or real(deadline),
+        )
+        n = 8 * POLL_EVERY
+        deadline = time.monotonic() + 600
+        graph = self._build_under(deadline, _wide_graph(n), validate)
+        assert len(graph) == n
+        assert len(polls) >= (3 if validate else 1) * n // POLL_EVERY
+        assert set(polls) == {deadline}
+
+    def test_a_passed_deadline_stops_construction(self):
+        with pytest.raises(Cancelled):
+            self._build_under(time.monotonic() - 1, _wide_graph(2 * POLL_EVERY), True)
+        assert len(DataGraph(_wide_graph(2 * POLL_EVERY))) == 2 * POLL_EVERY
