@@ -27,7 +27,6 @@ import time
 from pathlib import Path
 
 from repro.batch import BatchPlan, run_batch
-from repro.engine import BACKENDS
 from repro.workloads import batch_corpus
 
 #: The batch executor the 2x acceptance bar is asserted against.
@@ -42,35 +41,21 @@ ACCEPTANCE_SPEEDUP = 2.0
 CORRUPT_RATE = 0.0
 
 
-def bench_per_item(
-    operation: str, schema_text: str, items: list, backend: str
-) -> dict:
+def bench_per_item(operation: str, schema_text: str, items: list) -> dict:
     """The baseline: one single-item plan (and one compile) per item."""
     started = time.perf_counter()
     errors = 0
     for item in items:
-        plan = BatchPlan(
-            operation=operation,
-            items=(item,),
-            schema_text=schema_text,
-            backend=backend,
-        )
+        plan = BatchPlan(operation=operation, items=(item,), schema_text=schema_text)
         outcome = run_batch(plan, executor="sequential")
         errors += outcome.summary["errors"]
     elapsed = time.perf_counter() - started
     return _point(len(items), errors, elapsed)
 
 
-def bench_batch(
-    operation: str, schema_text: str, items: list, executor: str, backend: str
-) -> dict:
+def bench_batch(operation: str, schema_text: str, items: list, executor: str) -> dict:
     """One plan over the whole corpus under the named executor."""
-    plan = BatchPlan(
-        operation=operation,
-        items=tuple(items),
-        schema_text=schema_text,
-        backend=backend,
-    )
+    plan = BatchPlan(operation=operation, items=tuple(items), schema_text=schema_text)
     started = time.perf_counter()
     outcome = run_batch(plan, executor=executor)
     elapsed = time.perf_counter() - started
@@ -92,12 +77,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--operation", default="satisfiable", help="corpus operation to run"
-    )
-    parser.add_argument(
-        "--backend",
-        default="compiled",
-        choices=BACKENDS,
-        help="automata backend every mode runs on",
     )
     parser.add_argument(
         "--smoke",
@@ -125,14 +104,10 @@ def main() -> int:
     assert corpus_errors == 0, "throughput corpus must be clean"
 
     modes = {}
-    modes["per-item"] = bench_per_item(
-        args.operation, schema_text, items, args.backend
-    )
+    modes["per-item"] = bench_per_item(args.operation, schema_text, items)
     print(f"per-item        {modes['per-item']['items_per_s']:>10} items/s")
     for executor in ("sequential", "process"):
-        point = bench_batch(
-            args.operation, schema_text, items, executor, args.backend
-        )
+        point = bench_batch(args.operation, schema_text, items, executor)
         modes[f"batch-{executor}"] = point
         print(f"batch-{executor:<10}{point['items_per_s']:>10} items/s")
 
@@ -159,7 +134,6 @@ def main() -> int:
     record = {
         "benchmark": "batch",
         "operation": args.operation,
-        "backend": args.backend,
         "corpus_items": n_items,
         "corpus_errors": corpus_errors,
         "seed": args.seed,

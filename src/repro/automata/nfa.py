@@ -165,18 +165,20 @@ class NFA:
         """Return a shortest accepted word, or None if the language is empty.
 
         The breadth-first search runs over subsets, so it polls the
-        caller's deadline before expanding each one.
+        caller's deadline before expanding each one.  It tries symbols in
+        ``repr`` order, so the word does not depend on the hash seed.
         """
         start = self.initial_states()
         if start & self.accepting:
             return ()
         queue = deque([(start, ())])
         seen = {start}
+        symbols = sorted(self.alphabet, key=repr)
         cancel = current_deadline()
         while queue:
             raise_if_cancelled(cancel)
             states, word = queue.popleft()
-            for symbol in self.alphabet:
+            for symbol in symbols:
                 nxt = self.step(states, symbol)
                 if not nxt or nxt in seen:
                     continue
@@ -237,14 +239,17 @@ def thompson(regex: Regex, alphabet: Iterable[Symbol]) -> NFA:
     """Compile ``regex`` into an NFA over the given finite alphabet.
 
     Wildcards (:class:`repro.automata.syntax.Any`) expand to one arc per
-    alphabet symbol.  Atoms outside the alphabet are rejected, which catches
-    alphabet-mismatch bugs early.
+    alphabet symbol, in ``repr`` order, so the arcs (and the words a walk
+    over them finds first) do not depend on the hash seed.  Atoms outside
+    the alphabet are rejected, which catches alphabet-mismatch bugs early.
     """
     alphabet = frozenset(alphabet)
     missing = regex.symbols() - alphabet
     if missing:
         raise ValueError(f"regex mentions symbols outside the alphabet: {sorted(map(repr, missing))}")
     builder = _Builder(alphabet)
+    # The alphabet in repr order, sorted at the first wildcard.
+    ordered: List[Symbol] = []
 
     def build(node: Regex) -> Tuple[int, int]:
         """Return (entry, exit) states for ``node``."""
@@ -257,7 +262,9 @@ def thompson(regex: Regex, alphabet: Iterable[Symbol]) -> NFA:
         elif isinstance(node, Sym):
             builder.add_arc(entry, node.symbol, exit_)
         elif isinstance(node, Any):
-            for symbol in alphabet:
+            if not ordered:
+                ordered.extend(sorted(alphabet, key=repr))
+            for symbol in ordered:
                 builder.add_arc(entry, symbol, exit_)
         elif isinstance(node, Concat):
             previous = entry

@@ -406,7 +406,6 @@ def cmd_batch(args: argparse.Namespace) -> Outcome:
             schema_text=schema_text,
             syntax=syntax,
             wrap=bool(args.wrap),
-            backend=args.backend,
         )
         outcome = run_batch(
             plan,
@@ -455,7 +454,7 @@ def _resolve_store(args: argparse.Namespace, required: bool = False):
         if not required:
             return None
         cache_dir = default_cache_dir()
-    return ArtifactStore(root=cache_dir, backend=getattr(args, "backend", None))
+    return ArtifactStore(root=cache_dir)
 
 
 def cmd_warm(args: argparse.Namespace) -> Outcome:
@@ -478,10 +477,10 @@ def cmd_warm(args: argparse.Namespace) -> Outcome:
     if not sources:
         raise UsageError("nothing to warm: give schema files and/or --generate N")
 
-    def bake(schema) -> EngineArtifact:
-        engine = Engine(backend=args.backend)
+    def bake(schema, syntax: str) -> EngineArtifact:
+        engine = Engine()
         prewarm(schema, engine)
-        return EngineArtifact.capture(engine, schema)
+        return EngineArtifact.capture(engine, schema, syntax)
 
     reports = []
     written = hits = nondeterministic = 0
@@ -498,21 +497,21 @@ def cmd_warm(args: argparse.Namespace) -> Outcome:
             hits += 1
             reports.append(report)
             continue
-        artifact = bake(schema)
+        artifact = bake(schema, syntax)
         data = artifact.to_bytes()
         if args.check:
             # Determinism gate: re-run the whole compile pipeline and
             # require byte-identical pickles.  (Within one process; across
             # processes byte equality additionally needs a pinned
             # PYTHONHASHSEED — frozensets pickle in hash order.)
-            deterministic = bake(schema).to_bytes() == data
+            deterministic = bake(schema, syntax).to_bytes() == data
             report["deterministic"] = deterministic
             if not deterministic:
                 nondeterministic += 1
         if hit:
             hits += 1
         else:
-            store.put(artifact, syntax=syntax, data=data)
+            store.put(artifact, data=data)
             written += 1
             report["bytes"] = len(data)
             report["entries"] = len(artifact)
@@ -520,7 +519,6 @@ def cmd_warm(args: argparse.Namespace) -> Outcome:
 
     result = {
         "cache_dir": str(store.root),
-        "backend": store.backend,
         "schemas_total": len(sources),
         "written": written,
         "hits": hits,
@@ -555,17 +553,8 @@ def cmd_warm(args: argparse.Namespace) -> Outcome:
 
 
 def cmd_serve(args: argparse.Namespace) -> Outcome:
-    import os as _os
-
-    from .engine import BACKEND_ENV_VAR, Engine, set_default_engine
     from .service import SchemaRegistry, ServiceLimits, serve
 
-    if args.backend:
-        # Every schema engine the daemon builds resolves its backend here;
-        # the default engine (a fingerprint-less /evaluate) was built at
-        # import, so it is replaced.
-        _os.environ[BACKEND_ENV_VAR] = args.backend
-        set_default_engine(Engine(backend=args.backend))
     limits = ServiceLimits(
         default_deadline_s=args.deadline,
         max_deadline_s=max(args.deadline, args.max_deadline),
@@ -717,8 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("nfa", "compiled"),
         default=None,
         help="automata backend for the analysis engines; the JSON envelope "
-        "is byte-identical across backends "
-        "(default: REPRO_BACKEND env var, then 'compiled')",
+        "is byte-identical across backends (default: compiled)",
     )
 
     fuzz_cmd = add_command(
@@ -752,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("nfa", "compiled"),
         default=None,
         help="automata backend the production procedures run on "
-        "(default: REPRO_BACKEND env var, then 'compiled')",
+        "(default: compiled)",
     )
 
     batch_cmd = add_command(
@@ -792,13 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="items per process-pool chunk (default: auto)",
     )
     batch_cmd.add_argument(
-        "--backend",
-        choices=("nfa", "compiled"),
-        default=None,
-        help="automata backend for the batch engines "
-        "(default: REPRO_BACKEND env var, then 'compiled')",
-    )
-    batch_cmd.add_argument(
         "--cache-dir",
         default=None,
         help="persistent artifact store; process-pool workers load the "
@@ -835,13 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="store directory (default: $REPRO_CACHE_DIR, else ~/.cache/repro)",
-    )
-    warm_cmd.add_argument(
-        "--backend",
-        choices=("nfa", "compiled"),
-        default=None,
-        help="automata backend to bake for "
-        "(default: REPRO_BACKEND env var, then 'compiled')",
     )
     warm_cmd.add_argument(
         "--check",
@@ -888,14 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent artifact store: registrations persist compiled "
         "artifacts here and a restarted daemon restores them "
         "(default: $REPRO_CACHE_DIR if set, else disabled)",
-    )
-    serve_cmd.add_argument(
-        "--backend",
-        choices=("nfa", "compiled"),
-        default=None,
-        help="automata backend of every schema engine the daemon builds, "
-        "and of the artifact store (default: REPRO_BACKEND env var, "
-        "then 'compiled')",
     )
 
     return parser

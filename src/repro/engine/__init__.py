@@ -13,7 +13,6 @@ from .artifact import ARTIFACT_VERSION, ArtifactError, EngineArtifact, prewarm
 from .cache import CacheStats, EngineCache, KindStats
 from .core import (
     BACKENDS,
-    BACKEND_ENV_VAR,
     Engine,
     get_default_engine,
     resolve_backend,
@@ -32,7 +31,6 @@ __all__ = [
     "ArtifactError",
     "ArtifactStore",
     "BACKENDS",
-    "BACKEND_ENV_VAR",
     "CACHE_DIR_ENV_VAR",
     "CacheStats",
     "DEFAULT_MAX_BYTES",

@@ -26,11 +26,11 @@ from __future__ import annotations
 import pickle
 from typing import Dict, Hashable, Optional
 
-from .core import Engine, resolve_backend
+from .core import Engine
 
 #: Bump when the captured payload layout (or the pickle format of any
 #: shipped value type) changes incompatibly.
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 
 class ArtifactError(ValueError):
@@ -71,18 +71,20 @@ class EngineArtifact:
 
     Build with :meth:`capture` in the parent process, move as bytes via
     :meth:`to_bytes` / :meth:`from_bytes`, and :meth:`install` into the
-    worker's engine.
+    worker's engine.  ``syntax`` names the surface syntax the schema was
+    registered in (``"scmdl"`` or ``"dtd"``), so a registry restored
+    from a store describes each schema as it was registered.
     """
 
-    __slots__ = ("backend", "schema", "entries")
+    __slots__ = ("schema", "entries", "syntax")
 
-    def __init__(self, backend: str, schema, entries: Dict[Hashable, object]):
-        self.backend = resolve_backend(backend)
+    def __init__(self, schema, entries: Dict[Hashable, object], syntax: str):
         self.schema = schema
         self.entries = entries
+        self.syntax = syntax
 
     @classmethod
-    def capture(cls, engine: Engine, schema) -> "EngineArtifact":
+    def capture(cls, engine: Engine, schema, syntax: str = "scmdl") -> "EngineArtifact":
         """Snapshot the shippable entries currently in ``engine``'s cache.
 
         Entries are stored in a key-sorted order so that two captures of
@@ -92,7 +94,7 @@ class EngineArtifact:
         """
         entries = engine.cache.snapshot(_shippable)
         ordered = {key: entries[key] for key in sorted(entries, key=repr)}
-        return cls(engine.backend, schema, ordered)
+        return cls(schema, ordered, syntax)
 
     def fingerprint(self) -> str:
         """The carried schema's fingerprint (the store's key for us)."""
@@ -101,7 +103,7 @@ class EngineArtifact:
     def install(self, engine: Optional[Engine] = None) -> Engine:
         """Seed the artifact into ``engine`` (a fresh one by default)."""
         if engine is None:
-            engine = Engine(backend=self.backend)
+            engine = Engine()
         engine.cache.seed(self.entries)
         return engine
 
@@ -109,7 +111,7 @@ class EngineArtifact:
         return pickle.dumps(
             {
                 "version": ARTIFACT_VERSION,
-                "backend": self.backend,
+                "syntax": self.syntax,
                 "schema": self.schema,
                 "entries": self.entries,
             },
@@ -148,7 +150,7 @@ class EngineArtifact:
         from ..schema.model import Schema  # lazy: schema imports automata
 
         try:
-            backend = payload["backend"]
+            syntax = payload["syntax"]
             schema = payload["schema"]
             entries = payload["entries"]
         except KeyError as error:
@@ -165,17 +167,19 @@ class EngineArtifact:
                 f"engine artifact entries field holds "
                 f"{type(entries).__name__}, not a dict"
             )
-        try:
-            return cls(backend, schema, entries)
-        except Exception as error:  # resolve_backend: unknown backend
-            raise ArtifactError(str(error)) from None
+        if not isinstance(syntax, str):
+            raise ArtifactError(
+                f"engine artifact syntax field holds "
+                f"{type(syntax).__name__}, not a str"
+            )
+        return cls(schema, entries, syntax)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __repr__(self) -> str:
         return (
-            f"EngineArtifact(backend={self.backend!r}, "
+            f"EngineArtifact(syntax={self.syntax!r}, "
             f"schema={self.schema.root!r}, entries={len(self.entries)})"
         )
 

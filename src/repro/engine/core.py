@@ -22,7 +22,6 @@ scope without cycles.
 
 from __future__ import annotations
 
-import os
 from typing import FrozenSet, Iterable, Optional, Tuple, Union
 
 from ..automata.compiled import CompiledDFA, NFARunner, compile_nfa
@@ -33,20 +32,15 @@ from .cache import CacheStats, EngineCache
 #: The automata backends an engine can run its decision walks on.
 BACKENDS: Tuple[str, ...] = ("nfa", "compiled")
 
-#: Environment override for the default backend (``repro serve
-#: --backend`` and benchmarks set it so every engine they build inherits
-#: the choice).
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
 #: Either side of the runner contract (see repro.automata.compiled):
 #: step() returns None when the walk dies, never a falsy state.
 Runner = Union[CompiledDFA, NFARunner]
 
 
 def resolve_backend(backend: Optional[str]) -> str:
-    """Validate an explicit backend or fall back to env / the default."""
+    """Validate an explicit backend or fall back to ``"compiled"``."""
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or "compiled"
+        backend = "compiled"
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r} (expected one of {', '.join(BACKENDS)})"
@@ -69,19 +63,13 @@ class Engine:
         cache: Optional[EngineCache] = None,
         max_entries: Optional[int] = 4096,
         backend: Optional[str] = None,
-        store=None,
     ):
         self.cache = cache if cache is not None else EngineCache(max_entries)
         #: Which automata implementation the decision procedures walk:
         #: ``"compiled"`` (minimized table-driven DFAs, the default) or
         #: ``"nfa"`` (the legacy subset simulation, kept for differential
-        #: testing).  Resolution order: explicit argument, then the
-        #: ``REPRO_BACKEND`` environment variable, then ``"compiled"``.
+        #: testing, the fuzz oracles and ``repro diff --backend``).
         self.backend = resolve_backend(backend)
-        #: Optional :class:`repro.engine.store.ArtifactStore` backing this
-        #: engine's per-schema compiles (the durable tier behind the
-        #: in-memory cache; see :meth:`warm_from_store`).
-        self.store = store
 
     # ------------------------------------------------------------------
     # Generic regex compilation
@@ -252,57 +240,14 @@ class Engine:
             key, lambda: NFARunner(self.thompson(regex, alphabet))
         )
 
-    def content_runner(self, schema, tid: str, restricted: bool = True) -> Runner:
-        """A walkable content automaton for ``tid`` on this backend."""
+    def content_runner(self, schema, tid: str) -> Runner:
+        """A walkable inhabited-restricted content automaton for ``tid``."""
         if self.backend == "compiled":
-            if restricted:
-                return self.compiled_restricted_content(schema, tid)
-            return self.compiled_content(schema, tid)
-        key = ("content-runner", schema.fingerprint(), tid, restricted)
-        build_nfa = (
-            self.restricted_content_nfa if restricted else self.content_nfa
-        )
+            return self.compiled_restricted_content(schema, tid)
+        key = ("content-runner", schema.fingerprint(), tid)
         return self.cache.get_or_compute(
-            key, lambda: NFARunner(build_nfa(schema, tid))
+            key, lambda: NFARunner(self.restricted_content_nfa(schema, tid))
         )
-
-    # ------------------------------------------------------------------
-    # The durable tier (memory miss → store hit → install)
-    # ------------------------------------------------------------------
-
-    def warm_from_store(self, schema) -> bool:
-        """Load-through: seed this engine from the attached artifact store.
-
-        Returns True when the schema's compiled working set is resident
-        afterwards — either it already was (memory hit, the store is not
-        touched) or the store held a valid artifact and its entries were
-        installed.  False means a genuine cold compile is needed (and, if
-        a store is attached, that its miss counter was bumped).
-        """
-        fingerprint = schema.fingerprint()
-        if ("inhabited", fingerprint) in self.cache:
-            return True
-        if self.store is None:
-            return False
-        artifact = self.store.get(fingerprint)
-        if artifact is None:
-            return False
-        self.cache.seed(artifact.entries)
-        return True
-
-    def persist_to_store(self, schema, syntax: str = "scmdl"):
-        """Capture this engine's compiled state for ``schema`` into the store.
-
-        No-op (returns None) without an attached store; otherwise returns
-        the blob path.  Call after a cold compile so the next process —
-        daemon restart, batch process worker, ``repro warm`` consumer —
-        starts warm.
-        """
-        if self.store is None:
-            return None
-        from .artifact import EngineArtifact
-
-        return self.store.put(EngineArtifact.capture(self, schema), syntax=syntax)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -10,10 +10,9 @@ durable tier.
 Layout
 ------
 
-One artifact per registered schema, keyed by the schema fingerprint::
+One file per registered schema, keyed by the schema fingerprint::
 
-    <cache-dir>/<version-tag>/<backend>/<fingerprint>.art    pickle payload
-    <cache-dir>/<version-tag>/<backend>/<fingerprint>.json   index sidecar
+    <cache-dir>/<version-tag>/<fingerprint>.art    pickle payload
 
 The version tag folds together :data:`~repro.automata.compiled.PICKLE_VERSION`,
 :data:`~repro.engine.artifact.ARTIFACT_VERSION`, and the library version,
@@ -26,9 +25,9 @@ counts their blobs as invalidations.  Anything else under the cache
 root (say, the rest of ``~/.cache`` if the user points the store at a
 shared directory) is never touched.
 
-The JSON sidecar records the schema hash, backend, entry count, byte
-size, and creation time — enough for ``repro warm`` and ``/stats`` to
-describe the store without unpickling anything.
+Artifacts are always baked for the ``compiled`` backend, the one that
+``repro serve``, ``repro batch`` and ``repro warm`` run; the payload
+carries the schema's surface syntax, so a restore needs nothing else.
 
 Durability rules
 ----------------
@@ -41,13 +40,12 @@ Durability rules
   stale blob bumps the ``corrupt`` counter, is deleted, and reads as a
   miss; the caller recompiles exactly as if the store were cold.
 * **Bounded size.**  ``max_bytes`` caps the payload bytes per
-  ``<version-tag>/<backend>`` directory; the least-recently-*used*
+  ``<version-tag>`` directory; the least-recently-*used*
   artifact (mtime order — hits refresh mtime) is evicted first.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import shutil
@@ -59,12 +57,11 @@ from typing import Dict, List, Optional, Tuple
 from .. import __version__ as _library_version
 from ..automata.compiled import PICKLE_VERSION
 from .artifact import ARTIFACT_VERSION, ArtifactError, EngineArtifact
-from .core import resolve_backend
 
 #: Environment variable naming the cache directory (CLI/daemon default).
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 
-#: Default size bound per <version>/<backend> directory (payload bytes).
+#: Default size bound per <version-tag> directory (payload bytes).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 #: Version directories used within this window are never swept, so an
@@ -115,15 +112,14 @@ def version_tag() -> str:
 class ArtifactStore:
     """A bounded, versioned, corruption-tolerant on-disk artifact cache.
 
+    Opening a store reaps superseded version directories (tag-named,
+    strictly older, unused past the grace window; counted as
+    invalidations).
+
     Args:
         root: cache directory (default: :func:`default_cache_dir`).
-        backend: automata backend whose artifacts this store holds
-            (resolved like :class:`~repro.engine.Engine`'s backend).
         max_bytes: payload-byte bound for this store's directory; the
             oldest-mtime artifact is evicted once a put would exceed it.
-        sweep_stale: reap superseded version directories at open time
-            (tag-named, strictly older, unused past the grace window;
-            counted as invalidations).
 
     Thread-safe: one lock guards the counters and the eviction scan;
     file-level atomicity (``os.replace``) covers cross-process races.
@@ -132,17 +128,14 @@ class ArtifactStore:
     def __init__(
         self,
         root: Optional[os.PathLike] = None,
-        backend: Optional[str] = None,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        sweep_stale: bool = True,
     ):
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.backend = resolve_backend(backend)
         self.max_bytes = max_bytes
         self.tag = version_tag()
-        self.dir = self.root / self.tag / self.backend
+        self.dir = self.root / self.tag
         self.dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._hits = 0
@@ -152,8 +145,7 @@ class ArtifactStore:
         self._evictions = 0
         self._invalidations = 0
         self._deletes = 0
-        if sweep_stale:
-            self._sweep_stale_versions()
+        self._sweep_stale_versions()
 
     # ------------------------------------------------------------------
     # Paths
@@ -161,9 +153,6 @@ class ArtifactStore:
 
     def path_for(self, fingerprint: str) -> Path:
         return self.dir / f"{fingerprint}.art"
-
-    def _meta_path(self, fingerprint: str) -> Path:
-        return self.dir / f"{fingerprint}.json"
 
     # ------------------------------------------------------------------
     # Versioned invalidation
@@ -201,7 +190,9 @@ class ArtifactStore:
             key = _tag_sort_key(child.name)
             if key is None or current is None or not key < current:
                 continue  # not a version dir of ours, or not superseded
-            blobs = list(child.glob("*/*.art"))
+            # rglob: directories from before ARTIFACT_VERSION 2 kept
+            # their blobs one level down, under <tag>/<backend>/.
+            blobs = list(child.rglob("*.art"))
             try:
                 newest = max(
                     [child.stat().st_mtime]
@@ -240,11 +231,6 @@ class ArtifactStore:
             return None
         try:
             artifact = EngineArtifact.from_bytes(data)
-            if artifact.backend != self.backend:
-                raise ArtifactError(
-                    f"stored artifact speaks backend {artifact.backend!r}, "
-                    f"store expects {self.backend!r}"
-                )
             if artifact.fingerprint() != fingerprint:
                 raise ArtifactError(
                     f"stored artifact fingerprint {artifact.fingerprint()!r} "
@@ -290,58 +276,23 @@ class ArtifactStore:
     def __len__(self) -> int:
         return len(list(self.dir.glob("*.art")))
 
-    def meta(self, fingerprint: str) -> Dict[str, object]:
-        """The JSON index sidecar for ``fingerprint`` ({} if unreadable)."""
-        try:
-            payload = json.loads(self._meta_path(fingerprint).read_text())
-        except (OSError, json.JSONDecodeError):
-            return {}
-        return payload if isinstance(payload, dict) else {}
-
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
 
-    def put(
-        self,
-        artifact: EngineArtifact,
-        syntax: str = "scmdl",
-        data: Optional[bytes] = None,
-    ) -> Path:
+    def put(self, artifact: EngineArtifact, data: Optional[bytes] = None) -> Path:
         """Persist ``artifact`` atomically; returns the blob path.
 
         ``data`` lets a caller that already serialized the artifact (for
         a determinism check, say) avoid pickling twice.  The write goes
         tmp-file + ``os.replace`` so readers and racing writers only ever
-        observe complete payloads; the sidecar is written after the blob
-        (it is advisory — a missing sidecar never blocks a load).
+        observe complete payloads.
         """
-        if artifact.backend != self.backend:
-            raise ValueError(
-                f"artifact speaks backend {artifact.backend!r}, "
-                f"store holds {self.backend!r}"
-            )
         fingerprint = artifact.fingerprint()
-        payload = data if data is not None else artifact.to_bytes()
         path = self.path_for(fingerprint)
         tmp = path.with_suffix(f".tmp-{os.getpid()}")
-        tmp.write_bytes(payload)
+        tmp.write_bytes(data if data is not None else artifact.to_bytes())
         os.replace(tmp, path)
-        index = {
-            "fingerprint": fingerprint,
-            "backend": self.backend,
-            "syntax": syntax,
-            "schema_root": artifact.schema.root,
-            "entries": len(artifact),
-            "bytes": len(payload),
-            "created_at": time.time(),
-            "pickle_version": PICKLE_VERSION,
-            "artifact_version": ARTIFACT_VERSION,
-            "library_version": _library_version,
-        }
-        meta_tmp = self._meta_path(fingerprint).with_suffix(f".jtmp-{os.getpid()}")
-        meta_tmp.write_text(json.dumps(index, indent=2) + "\n")
-        os.replace(meta_tmp, self._meta_path(fingerprint))
         with self._lock:
             self._puts += 1
         self._enforce_bound(keep=fingerprint)
@@ -363,11 +314,10 @@ class ArtifactStore:
         return existed
 
     def _discard(self, fingerprint: str) -> None:
-        for path in (self.path_for(fingerprint), self._meta_path(fingerprint)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        try:
+            self.path_for(fingerprint).unlink()
+        except OSError:
+            pass
 
     def _enforce_bound(self, keep: Optional[str] = None) -> None:
         """Evict oldest-mtime artifacts until payload bytes fit the bound.
@@ -423,7 +373,6 @@ class ArtifactStore:
         with self._lock:
             return {
                 "dir": str(self.dir),
-                "backend": self.backend,
                 "version_tag": self.tag,
                 "artifacts": count,
                 "bytes": total,
@@ -438,7 +387,4 @@ class ArtifactStore:
             }
 
     def __repr__(self) -> str:
-        return (
-            f"ArtifactStore(dir={str(self.dir)!r}, backend={self.backend!r}, "
-            f"artifacts={len(self)})"
-        )
+        return f"ArtifactStore(dir={str(self.dir)!r}, artifacts={len(self)})"

@@ -40,10 +40,10 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from ..cancellation import Cancelled, current_deadline, raise_if_cancelled
-from ..engine import Engine, prewarm
+from ..engine import Engine, EngineArtifact, prewarm
 from ..schema import Schema, parse_dtd, parse_schema
 from ..schema.migrate import MigrationReport, analyze_migration
 from .envelope import ServiceError
@@ -168,14 +168,12 @@ class SchemaRegistry:
     def __init__(
         self,
         max_schemas: int = 64,
-        engine_max_entries: Optional[int] = 4096,
         store=None,
         restore: bool = True,
     ):
         if max_schemas <= 0:
             raise ValueError("max_schemas must be positive")
         self.max_schemas = max_schemas
-        self.engine_max_entries = engine_max_entries
         self.store = store
         self._entries: "OrderedDict[str, RegisteredSchema]" = OrderedDict()
         self._lock = threading.Lock()
@@ -221,22 +219,35 @@ class SchemaRegistry:
             artifact = self.store.get(fingerprint)
             if artifact is None:
                 continue
-            engine = Engine(
-                max_entries=self.engine_max_entries,
-                backend=artifact.backend,
-                store=self.store,
-            )
-            engine.cache.seed(artifact.entries)
-            syntax = self.store.meta(fingerprint).get("syntax", "scmdl")
+            engine = artifact.install()
             self._entries[fingerprint] = RegisteredSchema(
                 fingerprint=fingerprint,
                 schema=artifact.schema,
                 engine=engine,
-                syntax=syntax if isinstance(syntax, str) else "scmdl",
+                syntax=artifact.syntax,
                 registered_at=time.time(),
                 info={"warmed_entries": len(engine.cache), "restored": True},
             )
             self._restored += 1
+
+    def _compile(self, schema: Schema, syntax: str) -> Tuple[Engine, bool]:
+        """A warm engine for ``schema``, and whether the store supplied it.
+
+        A stored artifact is installed as it is; otherwise the schema is
+        pre-warmed and, with a store, its artifact is put there, so the
+        next registration of the schema, in this process or after a
+        restart, starts warm.  Runs outside the registry lock.
+        """
+        engine = Engine()
+        if self.store is not None:
+            artifact = self.store.get(schema.fingerprint())
+            if artifact is not None:
+                artifact.install(engine)
+                return engine, True
+        prewarm(schema, engine)
+        if self.store is not None:
+            self.store.put(EngineArtifact.capture(engine, schema, syntax))
+        return engine, False
 
     # ------------------------------------------------------------------
     # Registration
@@ -277,27 +288,16 @@ class SchemaRegistry:
                 return existing
 
         # Compile outside the lock: registrations of distinct schemas
-        # must not serialize on each other's automata construction.  With
-        # a store, the engine speaks the store's backend, or its artifact
-        # could not be persisted there.
-        engine = Engine(
-            max_entries=self.engine_max_entries,
-            backend=self.store.backend if self.store is not None else None,
-            store=self.store,
-        )
+        # must not serialize on each other's automata construction.
+        engine, store_hit = self._compile(schema, syntax)
         info: Dict[str, object] = {}
-        if engine.warm_from_store(schema):
-            # Durable tier hit: the compiled working set was installed
-            # from disk; nothing to rebuild, nothing to persist.  This is
-            # the path an evicted-then-re-registered schema takes under
+        if store_hit:
+            # The path an evicted-then-re-registered schema takes under
             # cache pressure — counted so ``/stats`` shows the store
             # served the reload (perfbench's schema-churn guards it).
             info["store_hit"] = True
             with self._lock:
                 self._store_hits += 1
-        else:
-            prewarm(schema, engine)
-            engine.persist_to_store(schema, syntax=syntax)
         info["warmed_entries"] = len(engine.cache)
         entry = RegisteredSchema(
             fingerprint=fingerprint,
@@ -399,8 +399,8 @@ class SchemaRegistry:
     ) -> tuple:
         """Analyze a migration and, if the policy accepts, swap the entry.
 
-        Parses and pre-warms the candidate schema (same backend as the
-        resident entry, artifact persisted through the store), runs
+        Parses and pre-warms the candidate schema (its artifact put in
+        the store, or installed from it), runs
         :func:`repro.schema.migrate.analyze_migration` against the
         resident schema's warm engine, and — only when the report meets
         ``policy`` — atomically replaces the registry entry: the new
@@ -425,15 +425,7 @@ class SchemaRegistry:
         new_fingerprint = schema.fingerprint()
 
         # Compile outside the lock, exactly like register().
-        engine = Engine(
-            max_entries=self.engine_max_entries,
-            backend=current.engine.backend,
-            store=self.store,
-        )
-        store_hit = engine.warm_from_store(schema)
-        if not store_hit:
-            prewarm(schema, engine)
-            engine.persist_to_store(schema, syntax=syntax)
+        engine, store_hit = self._compile(schema, syntax)
 
         try:
             report = analyze_migration(
@@ -611,7 +603,6 @@ class SchemaRegistry:
         for entry in entries:
             stats = entry.engine.stats()
             engines[entry.fingerprint] = {
-                "backend": entry.engine.backend,
                 "hits": stats.hits,
                 "misses": stats.misses,
                 "evictions": stats.evictions,

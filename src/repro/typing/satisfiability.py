@@ -413,7 +413,7 @@ class _PinnedChecker:
     def _type_runner(self, tid: str) -> Runner:
         """The type's content automaton (restricted to inhabited targets)
         on the engine's backend."""
-        return self.engine.content_runner(self.schema, tid, restricted=True)
+        return self.engine.content_runner(self.schema, tid)
 
     def _word_search(
         self,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..automata.nfa import EPS, NFA
 from ..data.model import DataGraph, Edge, Node, NodeKind
@@ -128,9 +128,10 @@ def random_instance(
         ValueError: if the root type is uninhabited.
     """
     rng = rng or random.Random()
-    if schema.root not in schema.inhabited_types():
+    # Keyed by exactly the inhabited types; computed once per instance.
+    ranks = schema.inhabitation_ranks()
+    if schema.root not in ranks:
         raise ValueError(f"root type {schema.root!r} is uninhabited")
-    inhabited = schema.inhabited_types()
     counter = itertools.count(1)
     nodes: List[Node] = []
 
@@ -146,7 +147,7 @@ def random_instance(
             )
             return oid
         word = _sample_word(
-            schema, tid, rng, inhabited, star_bias, max_repeat, shortest=depth <= 0
+            schema, tid, rng, ranks, star_bias, max_repeat, shortest=depth <= 0
         )
         edges = []
         for label, child_tid in word:
@@ -174,25 +175,25 @@ def _sample_word(
     schema: Schema,
     tid: str,
     rng: random.Random,
-    inhabited: frozenset,
+    ranks: Dict[str, int],
     star_bias: float,
     max_repeat: int,
     shortest: bool,
 ) -> List[Tuple[str, str]]:
     """Sample a word of the type's content language over inhabited symbols.
 
-    In ``shortest`` mode only symbols targeting strictly lower-rank types
-    are used and the walk heads straight for acceptance, which guarantees
-    termination on recursive schemas.
+    ``ranks`` is :meth:`Schema.inhabitation_ranks`, whose keys are the
+    inhabited types.  In ``shortest`` mode only symbols targeting strictly
+    lower-rank types are used and the walk heads straight for acceptance,
+    which guarantees termination on recursive schemas.
     """
     nfa = schema.compile_regex(tid)
-    ranks = schema.inhabitation_ranks()
 
     def allowed(symbol) -> bool:
-        if symbol[1] not in inhabited:
+        if symbol[1] not in ranks:
             return False
         if shortest:
-            return ranks.get(symbol[1], 10 ** 9) < ranks.get(tid, 10 ** 9)
+            return ranks[symbol[1]] < ranks[tid]
         return True
 
     def arcs(states):

@@ -73,6 +73,14 @@ class TestThompson:
         assert nfa.accepts("")
         assert nfa.accepts("abba")
 
+    def test_wildcard_arcs_follow_repr_order(self):
+        # A frozenset iterates in hash-seed order; the arcs, and so the
+        # first word a walk over them finds, must not.
+        alphabet = frozenset(("label", tid) for tid in "TSRQPONM")
+        nfa = thompson(ANY, alphabet)
+        arcs = [symbol for symbol, _dst in nfa.arcs_from(nfa.start)]
+        assert arcs == sorted(alphabet, key=repr)
+
     def test_symbol_outside_alphabet_rejected(self):
         with pytest.raises(ValueError):
             thompson(sym("z"), AB)
@@ -100,6 +108,11 @@ class TestNFAQueries:
         from repro.automata import EMPTY
 
         assert thompson(EMPTY, AB).shortest_word() is None
+
+    def test_shortest_word_takes_the_repr_least_symbol(self):
+        letters = frozenset("zyxwvutsrq")
+        nfa = thompson(alt(*(sym(letter) for letter in letters)), letters)
+        assert nfa.shortest_word() == ("q",)
 
     def test_shortest_word_epsilon(self):
         nfa = thompson(star(sym("a")), AB)

@@ -22,6 +22,7 @@ from repro.batch import (
     run_batch,
     run_items_shared,
 )
+from repro.engine import Engine
 from repro.schema import schema_to_string
 from repro.workloads import batch_corpus, document_schema
 
@@ -63,26 +64,6 @@ class TestPlanValidation:
     def test_unknown_executor_is_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             run_batch(_plan([{"query": GOOD_QUERY}]), executor="gpu")
-
-    def test_unknown_backend_is_rejected_at_plan_time(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            BatchPlan(
-                operation="satisfiable",
-                items=({"query": GOOD_QUERY},),
-                schema_text=SCHEMA_TEXT,
-                backend="quantum",
-            )
-
-    @pytest.mark.parametrize("backend", ["nfa", "compiled"])
-    def test_backend_reaches_the_compiled_engine(self, backend):
-        plan = BatchPlan(
-            operation="satisfiable",
-            items=({"query": GOOD_QUERY},),
-            schema_text=SCHEMA_TEXT,
-            backend=backend,
-        )
-        _schema, engine = plan.compile()
-        assert engine.backend == backend
 
 
 class TestErrorIsolation:
@@ -180,27 +161,28 @@ class TestExecutorEquivalence:
         assert [e["index"] for e in reference] == list(range(len(items)))
 
     def test_backends_agree_and_executors_stay_byte_identical(self):
-        # The envelope contract must hold per backend *and* across
+        # The envelope contract must hold across executors *and* across
         # backends: the automata representation may never change a
-        # decision or a witness-bearing payload's bytes.
+        # decision or a witness-bearing payload's bytes.  The executors
+        # run compiled; the nfa reference decides the same items in
+        # process.
         schema_text, items = batch_corpus(
             operation="satisfiable", n_items=30, seed=11, n_sections=3
         )
-        per_backend = {}
-        for backend in ("nfa", "compiled"):
-            plan = BatchPlan(
-                operation="satisfiable",
-                items=tuple(items),
-                schema_text=schema_text,
-                backend=backend,
+        plan = _plan(items, schema_text=schema_text)
+        runs = [
+            results_to_ndjson(run_batch(plan, executor=executor, workers=2).results)
+            for executor in EXECUTORS
+        ]
+        assert runs[0] == runs[1]
+        schema, compiled = plan.compile()
+        per_backend = {
+            engine.backend: results_to_ndjson(
+                run_items_shared("satisfiable", schema, engine, plan.items)
             )
-            runs = [
-                results_to_ndjson(run_batch(plan, executor=executor, workers=2).results)
-                for executor in EXECUTORS
-            ]
-            assert runs[0] == runs[1]
-            per_backend[backend] = runs[0]
-        assert per_backend["nfa"] == per_backend["compiled"]
+            for engine in (Engine(backend="nfa"), compiled)
+        }
+        assert per_backend["nfa"] == per_backend["compiled"] == runs[0]
 
 
 class TestOperations:

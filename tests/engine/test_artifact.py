@@ -24,8 +24,8 @@ from repro.workloads import document_schema
 SCHEMA = document_schema(3)
 
 
-def _captured(backend="compiled"):
-    engine = Engine(backend=backend)
+def _captured():
+    engine = Engine()
     prewarm(SCHEMA, engine)
     return engine, EngineArtifact.capture(engine, SCHEMA)
 
@@ -40,20 +40,19 @@ class TestCapture:
         # and must never ship.
         assert not kinds & {"content-runner", "path-runner", "content-nfa"}
 
-    def test_capture_records_the_parent_backend(self):
-        for backend in ("nfa", "compiled"):
-            engine = Engine(backend=backend)
-            prewarm(SCHEMA, engine)
-            assert EngineArtifact.capture(engine, SCHEMA).backend == backend
-
 
 class TestRoundTrip:
     def test_bytes_round_trip_preserves_entries(self):
         _engine, artifact = _captured()
         clone = EngineArtifact.from_bytes(artifact.to_bytes())
-        assert clone.backend == artifact.backend
+        assert clone.syntax == artifact.syntax == "scmdl"
         assert set(clone.entries) == set(artifact.entries)
         assert clone.schema.fingerprint() == SCHEMA.fingerprint()
+
+    def test_the_payload_carries_the_schemas_syntax(self):
+        engine, _artifact = _captured()
+        dtd = EngineArtifact.capture(engine, SCHEMA, "dtd")
+        assert EngineArtifact.from_bytes(dtd.to_bytes()).syntax == "dtd"
 
     def test_version_mismatch_is_rejected(self):
         _engine, artifact = _captured()
@@ -103,7 +102,7 @@ class TestCorruptPayloads:
             EngineArtifact.from_bytes(pickle.dumps(["not", "a", "dict"]))
         with pytest.raises(ArtifactError, match="missing field"):
             EngineArtifact.from_bytes(
-                pickle.dumps({"version": ARTIFACT_VERSION, "backend": "compiled"})
+                pickle.dumps({"version": ARTIFACT_VERSION, "syntax": "scmdl"})
             )
 
     def test_wrong_typed_fields_are_an_artifact_error(self):
@@ -116,7 +115,7 @@ class TestCorruptPayloads:
                 pickle.dumps(
                     {
                         "version": ARTIFACT_VERSION,
-                        "backend": "compiled",
+                        "syntax": "scmdl",
                         "schema": "not a schema",
                         "entries": {},
                     }
@@ -128,8 +127,8 @@ class TestCorruptPayloads:
         with pytest.raises(ArtifactError, match="not a dict"):
             EngineArtifact.from_bytes(pickle.dumps(payload))
         payload = pickle.loads(artifact.to_bytes())
-        payload["backend"] = "warp-drive"
-        with pytest.raises(ArtifactError, match="backend"):
+        payload["syntax"] = 7
+        with pytest.raises(ArtifactError, match="not a str"):
             EngineArtifact.from_bytes(pickle.dumps(payload))
 
     def test_artifact_error_maps_to_exit_2_and_http_400(self):

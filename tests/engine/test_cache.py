@@ -4,7 +4,13 @@ import pytest
 
 from repro.automata.syntax import star, sym
 from repro.data import parse_data
-from repro.engine import Engine, EngineCache, get_default_engine, set_default_engine
+from repro.engine import (
+    BACKENDS,
+    Engine,
+    EngineCache,
+    get_default_engine,
+    set_default_engine,
+)
 from repro.schema import SchemaError, conforms, parse_schema
 from repro.typing.traces import trace_product
 
@@ -161,6 +167,23 @@ class TestEngineMemoization:
             assert fresh.stats().misses > 0
         finally:
             set_default_engine(previous)
+
+
+class TestBackends:
+    def test_compiled_is_the_default(self):
+        assert Engine().backend == "compiled"
+        assert Engine(backend="nfa").backend == "nfa"
+
+    def test_an_unknown_backend_is_refused(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            Engine(backend="quantum")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_content_runner_offers_only_inhabited_targets(self, backend):
+        # ``B`` needs a ``B`` child forever, so no instance holds one.
+        schema = parse_schema("R = [(a -> A | b -> B)*]; A = string; B = [b -> B]")
+        runner = Engine(backend=backend).content_runner(schema, "R")
+        assert set(runner.available_symbols(runner.initial())) == {("a", "A")}
 
 
 class TestEngineCacheThreadSafety:

@@ -13,9 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import repro.engine.store as store_module
+from repro import __version__
+from repro.automata.compiled import PICKLE_VERSION
 from repro.engine import (
     ARTIFACT_VERSION,
     ArtifactStore,
@@ -29,8 +29,8 @@ from repro.workloads import chain_schema, document_schema
 SCHEMA = document_schema(3)
 
 
-def baked_artifact(schema=SCHEMA, backend="compiled"):
-    engine = Engine(backend=backend)
+def baked_artifact(schema=SCHEMA):
+    engine = Engine()
     prewarm(schema, engine)
     return EngineArtifact.capture(engine, schema)
 
@@ -57,24 +57,18 @@ class TestRoundTrip:
         stats = store.stats()
         assert stats["misses"] == 1 and stats["corrupt"] == 0
 
-    def test_sidecar_index_describes_the_blob(self, tmp_path):
+    def test_a_put_leaves_exactly_one_file(self, tmp_path):
+        # The blob carries everything a restore reads, the schema's
+        # syntax included, so no index file is written beside it.
+        store = ArtifactStore(root=tmp_path)
+        path = store.put(baked_artifact())
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+    def test_layout_is_version_keyed(self, tmp_path):
         store = ArtifactStore(root=tmp_path)
         artifact = baked_artifact()
-        path = store.put(artifact, syntax="scmdl")
-        meta = store.meta(artifact.fingerprint())
-        assert meta["fingerprint"] == artifact.fingerprint()
-        assert meta["backend"] == "compiled"
-        assert meta["entries"] == len(artifact)
-        assert meta["bytes"] == path.stat().st_size
-        assert meta["syntax"] == "scmdl"
-
-    def test_layout_is_version_and_backend_keyed(self, tmp_path):
-        store = ArtifactStore(root=tmp_path, backend="compiled")
-        artifact = baked_artifact()
         path = store.put(artifact)
-        assert path == (
-            tmp_path / version_tag() / "compiled" / f"{artifact.fingerprint()}.art"
-        )
+        assert path == tmp_path / version_tag() / f"{artifact.fingerprint()}.art"
 
 
 class TestCorruptionTolerance:
@@ -118,7 +112,7 @@ class TestCorruptionTolerance:
         payload = pickle.dumps(
             {
                 "version": ARTIFACT_VERSION,
-                "backend": "compiled",
+                "syntax": "scmdl",
                 "schema": "not a schema",
                 "entries": {},
             }
@@ -129,12 +123,13 @@ class TestCorruptionTolerance:
         assert store.stats()["corrupt"] == 1
         assert not path.exists()
 
-    def test_unreadable_sidecar_never_blocks_a_load(self, tmp_path):
+    def test_a_crashed_writers_tmp_file_never_blocks_a_load(self, tmp_path):
         store = ArtifactStore(root=tmp_path)
         artifact = baked_artifact()
-        store.put(artifact)
-        (store.dir / f"{artifact.fingerprint()}.json").write_text("{trunc")
-        assert store.meta(artifact.fingerprint()) == {}
+        path = store.put(artifact)
+        path.with_suffix(".tmp-999").write_bytes(b"half a pick")
+        assert store.fingerprints() == [artifact.fingerprint()]
+        assert len(store) == 1
         assert store.get(artifact.fingerprint()) is not None
 
 
@@ -206,7 +201,7 @@ class TestVersionedInvalidation:
     ):
         old_store = ArtifactStore(root=tmp_path)
         old_store.put(baked_artifact())
-        old_dir = old_store.dir.parent
+        old_dir = old_store.dir
         _age(old_dir)  # past the grace window: nothing still uses it
         monkeypatch.setattr(store_module, "PICKLE_VERSION", 999)
         new_store = ArtifactStore(root=tmp_path)
@@ -221,7 +216,7 @@ class TestVersionedInvalidation:
         # keep its artifacts: only dirs idle past the grace window go.
         old_store = ArtifactStore(root=tmp_path)
         old_store.put(baked_artifact())
-        old_dir = old_store.dir.parent
+        old_dir = old_store.dir
         monkeypatch.setattr(store_module, "PICKLE_VERSION", 999)
         new_store = ArtifactStore(root=tmp_path)
         assert old_dir.exists()
@@ -234,7 +229,7 @@ class TestVersionedInvalidation:
             patch.setattr(store_module, "PICKLE_VERSION", 999)
             newer = ArtifactStore(root=tmp_path)
             newer.put(baked_artifact())
-            newer_dir = newer.dir.parent
+            newer_dir = newer.dir
         _age(newer_dir)
         current = ArtifactStore(root=tmp_path)
         assert newer_dir.exists()
@@ -259,46 +254,20 @@ class TestVersionedInvalidation:
         assert reopened.stats()["invalidations"] == 0
         assert reopened.get(SCHEMA.fingerprint()) is not None
 
-    def test_backends_do_not_share_blobs(self, tmp_path):
-        compiled = ArtifactStore(root=tmp_path, backend="compiled")
-        compiled.put(baked_artifact())
-        nfa = ArtifactStore(root=tmp_path, backend="nfa", sweep_stale=False)
-        assert nfa.get(SCHEMA.fingerprint()) is None
-
-    def test_put_refuses_a_foreign_backend(self, tmp_path):
-        store = ArtifactStore(root=tmp_path, backend="nfa")
-        with pytest.raises(ValueError, match="backend"):
-            store.put(baked_artifact(backend="compiled"))
-
-
-class TestEngineLoadThrough:
-    def test_memory_miss_store_hit_install(self, tmp_path):
+    def test_a_backend_keyed_directory_is_swept_with_all_its_blobs(self, tmp_path):
+        # Before artifact version 2 a version directory kept its blobs
+        # one level down, under <tag>/<backend>/; the sweep still finds
+        # and counts them.
+        data = baked_artifact().to_bytes()
+        old_dir = tmp_path / f"pickle{PICKLE_VERSION}-art1-lib{__version__}"
+        for backend in ("compiled", "nfa"):
+            (old_dir / backend).mkdir(parents=True)
+            (old_dir / backend / f"{SCHEMA.fingerprint()}.art").write_bytes(data)
+            (old_dir / backend / f"{SCHEMA.fingerprint()}.json").write_text("{}")
+        _age(old_dir)
         store = ArtifactStore(root=tmp_path)
-        store.put(baked_artifact())
-        engine = Engine(store=ArtifactStore(root=tmp_path))
-        assert engine.warm_from_store(SCHEMA)
-        tid = next(t.tid for t in SCHEMA if not t.is_atomic)
-        engine.compiled_content(SCHEMA, tid)
-        kind = engine.stats().by_kind["compiled-content"]
-        assert kind.hits > 0 and kind.misses == 0
-
-    def test_memory_hit_short_circuits_the_store(self, tmp_path):
-        store = ArtifactStore(root=tmp_path)
-        engine = Engine(store=store)
-        prewarm(SCHEMA, engine)
-        assert engine.warm_from_store(SCHEMA)  # already resident
-        assert store.stats()["hits"] == 0 and store.stats()["misses"] == 0
-
-    def test_cold_engine_without_store_reports_cold(self):
-        assert not Engine().warm_from_store(SCHEMA)
-
-    def test_persist_then_warm_round_trip(self, tmp_path):
-        store = ArtifactStore(root=tmp_path)
-        parent = Engine(store=store)
-        prewarm(SCHEMA, parent)
-        assert parent.persist_to_store(SCHEMA) is not None
-        child = Engine(store=ArtifactStore(root=tmp_path))
-        assert child.warm_from_store(SCHEMA)
+        assert store.stats()["invalidations"] == 2
+        assert not old_dir.exists()
 
 
 class TestConcurrentWarmVsRead:

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.engine import Engine, get_default_engine, set_default_engine
 
 SCHEMA = """
 DOCUMENT = [(paper -> PAPER)*];
@@ -211,33 +210,14 @@ class TestCli:
         assert '"DOCUMENT" -> "PAPER"' in capsys.readouterr().out
 
 
-class TestServeBackend:
-    @pytest.fixture(autouse=True)
-    def default_engine(self):
-        # serve --backend installs a default engine; put the caller's back.
-        previous = get_default_engine()
-        yield
-        set_default_engine(previous)
-
-    def test_backend_flag_picks_the_engine_backend_without_a_store(self, monkeypatch):
-        import repro.service
-
-        served = {}
-        monkeypatch.setattr(repro.service, "serve", lambda **kw: served.update(kw))
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        # serve writes REPRO_BACKEND; setting it first makes monkeypatch
-        # restore the caller's value afterwards.
-        monkeypatch.setenv("REPRO_BACKEND", "compiled")
-        assert main(["serve", "--backend", "nfa"]) == 0
-        assert served["registry"].register(SCHEMA).engine.backend == "nfa"
-
-    def test_backend_flag_sets_the_default_engine_backend(self, monkeypatch):
-        import repro.service
-
-        monkeypatch.setattr(repro.service, "serve", lambda **kw: None)
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.setenv("REPRO_BACKEND", "compiled")
-        set_default_engine(Engine(backend="compiled"))
-        assert main(["serve", "--backend", "nfa"]) == 0
-        # A fingerprint-less /evaluate runs on the default engine.
-        assert get_default_engine().backend == "nfa"
+class TestServingCommandsRunCompiled:
+    @pytest.mark.parametrize(
+        "argv", [["serve"], ["batch", "satisfiable"], ["warm", "--generate", "1"]]
+    )
+    def test_there_is_no_backend_option(self, argv, capsys):
+        # serve, batch and warm run, store and ship the compiled backend
+        # only; the nfa reference is for fuzz, diff and the tests.
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--backend", "nfa"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.engine import ArtifactStore
+from repro.engine import ArtifactStore, version_tag
 
 SCHEMA = """
 DOCUMENT = [(paper -> PAPER)*];
@@ -50,6 +50,16 @@ class TestWarmCli:
         result = second["result"]
         assert result["hits"] == 3 and result["written"] == 0
 
+    def test_a_dtd_is_one_blob_that_keeps_its_syntax(self, cache_dir, tmp_path, capsys):
+        dtd_file = tmp_path / "doc.dtd"
+        dtd_file.write_text("<!ELEMENT doc (title)> <!ELEMENT title #PCDATA>")
+        code, envelope = warm_json(capsys, str(dtd_file), "--cache-dir", str(cache_dir))
+        assert code == 0
+        fingerprint = envelope["result"]["schemas"][0]["fingerprint"]
+        files = [path for path in cache_dir.rglob("*") if path.is_file()]
+        assert files == [cache_dir / version_tag() / f"{fingerprint}.art"]
+        assert ArtifactStore(root=cache_dir).get(fingerprint).syntax == "dtd"
+
     def test_check_reports_deterministic_corpus(self, cache_dir, capsys):
         code, envelope = warm_json(
             capsys, "--generate", "2", "--check", "--cache-dir", str(cache_dir)
@@ -83,4 +93,4 @@ class TestWarmCli:
         assert code == 0
         stats = envelope["result"]["store"]
         assert stats["puts"] == 1
-        assert stats["backend"] == "compiled"
+        assert stats["artifacts"] == 1

@@ -18,20 +18,23 @@ witness search held the process-default engine that fingerprint-less
 ``/evaluate`` requests use.
 """
 
+import contextvars
 import random
 import threading
 import time
 
 import pytest
 
-from repro.engine import Engine, get_default_engine
+from repro.cancellation import Cancelled, bind
+from repro.engine import Engine, get_default_engine, prewarm
 from repro.engine.store import ArtifactStore
 from repro.query import parse_query, query_to_string
 from repro.reductions import random_3sat, reduce_formula
 from repro.schema import parse_schema, schema_to_string
+from repro.schema.migrate import analyze_migration
 from repro.service import ServiceClient, ServiceLimits, TypedQueryService
 from repro.service.registry import SchemaRegistry
-from repro.typing import find_witness
+from repro.typing import find_witness, is_satisfiable
 
 pytestmark = pytest.mark.usefixtures("frozen_heap")
 
@@ -156,20 +159,32 @@ def test_probe_times_out_and_frees_the_server(name):
             _assert_server_free(client, route, cheap)
 
 
-def test_path_probe_on_the_nfa_backend(monkeypatch):
+def _cancelled_within(call) -> float:
+    """Run ``call`` with a :data:`DEADLINE`-second deadline bound in a
+    fresh context, as the service's runner does, and return how long it
+    took to raise ``Cancelled``.
+
+    The server runs only the compiled backend; the nfa reference is
+    probed in process, so its walks' deadline polls stay pinned."""
+
+    def bound():
+        bind(time.monotonic() + DEADLINE)
+        call()
+
+    started = time.perf_counter()
+    with pytest.raises(Cancelled):
+        contextvars.Context().run(bound)
+    return time.perf_counter() - started
+
+
+def test_path_probe_on_the_nfa_backend():
     """The nfa backend walks subsets as it goes (``SchemaReach.completions``)."""
-    monkeypatch.setenv("REPRO_BACKEND", "nfa")
-    limits = ServiceLimits(max_slots=1, slot_wait_s=0.1)
-    with TypedQueryService(port=0, limits=limits) as svc, ServiceClient(
-        svc.host, svc.port
-    ) as client:
-        fingerprint = client.register_schema(PATH_SCHEMA)["fingerprint"]
-        assert svc.state.registry.get(fingerprint).engine.backend == "nfa"
-        hostile = {"fingerprint": fingerprint, "query": blow_up_query(14)}
-        _assert_timed_out(*_send(client, "/satisfiable", dict(hostile, deadline=DEADLINE)))
-        _assert_server_free(
-            client, "/satisfiable", {"fingerprint": fingerprint, "query": PATH_CHEAP}
-        )
+    schema = parse_schema(PATH_SCHEMA)
+    engine = Engine(backend="nfa")
+    prewarm(schema, engine)
+    hostile = parse_query(blow_up_query(14))
+    assert _cancelled_within(lambda: is_satisfiable(hostile, schema, engine=engine)) < ANSWER_WITHIN
+    assert is_satisfiable(parse_query(PATH_CHEAP), schema, engine=engine)
 
 
 def test_two_evaluations_do_not_pin_both_slots():
@@ -288,27 +303,23 @@ def _wait_until_compiling(cache, within=5.0):
         time.sleep(0.005)
 
 
-@pytest.mark.parametrize("backend", ["compiled", "nfa"])
-def test_migration_analysis_times_out_and_frees_the_slot(backend, monkeypatch, tmp_path):
+def test_migration_analysis_times_out_and_frees_the_slot(tmp_path):
     """The schema diff decides content-model containment by determinizing
     the candidate's model: 2^13 subsets here, then a product with the
     resident model.  Neither loop polled, so a ``/migrate`` ran on past
     its deadline while it held its slot."""
-    monkeypatch.setenv("REPRO_BACKEND", backend)
     registry = SchemaRegistry(store=ArtifactStore(root=tmp_path), max_schemas=1)
     limits = ServiceLimits(max_slots=1, slot_wait_s=0.1)
     with TypedQueryService(port=0, registry=registry, limits=limits) as svc, ServiceClient(
         svc.host, svc.port
     ) as client:
         # Store the candidate's compiled artifact, so the migration loads
-        # it instead of compiling (on the compiled backend that compile
-        # alone outlasts the deadline), then make the small schema the
-        # only resident one.
+        # it instead of compiling (that compile alone outlasts the
+        # deadline), then make the small schema the only resident one.
         candidate = blow_up_schema(13)
         status, envelope, _ = _send(client, "/schemas", {"schema": candidate, "deadline": 60})
         assert status == 200, envelope
         fingerprint = client.register_schema(BLOW_UP_BASE)["fingerprint"]
-        assert svc.state.registry.get(fingerprint).engine.backend == backend
         _assert_timed_out(
             *_send(
                 client,
@@ -320,6 +331,18 @@ def test_migration_analysis_times_out_and_frees_the_slot(backend, monkeypatch, t
             client, "/satisfiable", {"fingerprint": fingerprint, "query": PATH_CHEAP}
         )
         assert [row["fingerprint"] for row in client.list_schemas()["schemas"]] == [fingerprint]
+
+
+def test_migration_analysis_on_the_nfa_backend_stops_at_its_deadline():
+    """The same analysis on the nfa reference polls the same loops."""
+    base, candidate = parse_schema(BLOW_UP_BASE), parse_schema(blow_up_schema(13))
+    engine_old, engine_new = Engine(backend="nfa"), Engine(backend="nfa")
+    prewarm(base, engine_old)
+    prewarm(candidate, engine_new)
+    elapsed = _cancelled_within(
+        lambda: analyze_migration(base, candidate, engine_old=engine_old, engine_new=engine_new)
+    )
+    assert elapsed < ANSWER_WITHIN
 
 
 def test_engine_lock_waiter_times_out_at_its_own_deadline():

@@ -83,17 +83,9 @@ class TestRegistryBasics:
         entry = registry.register(SCHEMAS[0])
         kinds = set(entry.engine.stats().by_kind)
         assert {"schema-alphabet", "inhabited", "content-nfa", "reach"} <= kinds
-        if entry.engine.backend == "compiled":
-            # The compile pipeline's tables are warmed up front too, so
-            # the first request never pays subset construction.
-            assert {"compiled-content", "compiled-content-restricted"} <= kinds
-
-    def test_stats_report_each_engines_backend(self):
-        registry = SchemaRegistry()
-        entry = registry.register(SCHEMAS[0])
-        engines = registry.stats()["engines"]
-        assert engines[entry.fingerprint]["backend"] == entry.engine.backend
-        assert entry.engine.backend in ("nfa", "compiled")
+        # The compile pipeline's tables are warmed up front too, so the
+        # first request never pays subset construction.
+        assert {"compiled-content", "compiled-content-restricted"} <= kinds
 
 
 class TestRegistryConcurrency:

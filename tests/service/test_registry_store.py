@@ -8,7 +8,7 @@ service surfaces the store's counters through ``/stats``.
 import json
 
 import repro.service.registry as registry_mod
-from repro.engine import ArtifactStore
+from repro.engine import ArtifactStore, EngineArtifact
 from repro.query import parse_query
 from repro.schema import schema_to_string
 from repro.service import SchemaRegistry
@@ -43,7 +43,7 @@ class TestPersistOnRegister:
         registry = SchemaRegistry(store=store)
         entry = registry.register(SCHEMA_TEXT)
         assert store.contains(entry.fingerprint)
-        assert store.meta(entry.fingerprint)["syntax"] == "scmdl"
+        assert store.get(entry.fingerprint).syntax == "scmdl"
 
     def test_reregister_after_evict_is_a_store_hit(self, tmp_path):
         registry = SchemaRegistry(store=ArtifactStore(root=tmp_path))
@@ -105,6 +105,34 @@ class TestRestoreOnConstruction:
             by_kind = stats["engines"][fingerprint]["by_kind"]
             missed = [k for k in SCHEMA_SIDE_KINDS if by_kind.get(k, {}).get("misses")]
             assert missed == [], fingerprint
+
+    def test_restart_reports_a_dtd_registrations_syntax(self, tmp_path):
+        dtd = "<!ELEMENT doc (title, para*)>\n<!ELEMENT title #PCDATA>\n<!ELEMENT para #PCDATA>"
+        first_life = ServiceState(registry=SchemaRegistry(store=ArtifactStore(root=tmp_path)))
+        status, envelope = post(
+            first_life, "/schemas", {"schema": dtd, "syntax": "dtd", "wrap": True}
+        )
+        assert status == 200, envelope
+        assert envelope["result"]["syntax"] == "dtd"
+        second_life = ServiceState(registry=SchemaRegistry(store=ArtifactStore(root=tmp_path)))
+        status, envelope = second_life.handle("GET", "/schemas", b"")
+        assert status == 200, envelope
+        [restored] = envelope["result"]["schemas"]
+        assert restored["syntax"] == "dtd"
+        assert restored["restored"] is True
+
+    def test_a_migration_stores_the_candidates_syntax(self, tmp_path):
+        store = ArtifactStore(root=tmp_path)
+        registry = SchemaRegistry(store=store)
+        old = registry.register(SCHEMA_TEXT).fingerprint
+        entry, report = registry.migrate(
+            old, "<!ELEMENT doc (title)> <!ELEMENT title #PCDATA>", syntax="dtd", policy="any"
+        )
+        assert report.accepted
+        assert store.get(entry.fingerprint).syntax == "dtd"
+        assert not store.contains(old)
+        restarted = SchemaRegistry(store=ArtifactStore(root=tmp_path))
+        assert [e.syntax for e in restarted.entries()] == ["dtd"]
 
     def test_restore_respects_the_lru_bound(self, tmp_path):
         store = ArtifactStore(root=tmp_path)
@@ -186,20 +214,6 @@ class TestStatsSurface:
         for counter in ("hits", "misses", "evictions", "invalidations", "corrupt"):
             assert counter in store_stats
 
-    def test_registration_over_an_nfa_store_builds_an_nfa_engine(self, tmp_path):
-        # The engine used to take the process default backend, whose
-        # artifact an nfa store refused: every registration answered 400.
-        state = ServiceState(
-            registry=SchemaRegistry(store=ArtifactStore(root=tmp_path, backend="nfa"))
-        )
-        status, envelope = state.handle(
-            "POST", "/schemas", json.dumps({"schema": SCHEMA_TEXT}).encode()
-        )
-        assert status == 200, envelope
-        fingerprint = envelope["result"]["fingerprint"]
-        engines = state.handle("GET", "/stats", b"")[1]["result"]["registry"]["engines"]
-        assert engines[fingerprint]["backend"] == "nfa"
-
     def test_restored_registry_serves_satisfiable_over_http_state(self, tmp_path):
         store = ArtifactStore(root=tmp_path)
         fingerprint = (
@@ -237,3 +251,26 @@ class TestBatchViaStore:
         assert via_store.results == sequential.results
         # The parent persisted exactly one artifact for the workers.
         assert len(store) == 1
+
+    def test_a_worker_installs_the_stored_artifact(self, tmp_path, monkeypatch):
+        from repro.batch import BatchPlan, executors
+
+        plan = BatchPlan(
+            operation="satisfiable", items=({"query": QUERY_TEXT},), schema_text=SCHEMA_TEXT
+        )
+        schema, engine = plan.compile()
+        ArtifactStore(root=tmp_path).put(EngineArtifact.capture(engine, schema))
+        monkeypatch.setattr(executors, "_WORKER", {})
+        # No schema text to fall back on: the worker must load the blob.
+        reference = {
+            "cache_dir": str(tmp_path),
+            "fingerprint": schema.fingerprint(),
+            "schema_text": None,
+            "syntax": "scmdl",
+            "wrap": False,
+        }
+        executors._process_init("satisfiable", reference)
+        assert executors._WORKER["schema"].fingerprint() == schema.fingerprint()
+        worker = executors._WORKER["engine"]
+        assert worker.backend == "compiled"
+        assert len(worker.cache) == len(EngineArtifact.capture(engine, schema))

@@ -85,6 +85,30 @@ class TestRandomSampling:
         with pytest.raises(ValueError):
             random_instance(schema, random.Random(0))
 
+    def test_ranks_are_computed_once_per_instance(self, monkeypatch):
+        # The inhabitation fixpoint depends only on the schema; sampling
+        # each content word used to run it again.
+        import repro.schema.model as model
+
+        calls = []
+        real = model._inhabitation_rounds
+        monkeypatch.setattr(
+            model,
+            "_inhabitation_rounds",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        schema = parse_schema(
+            "DOC = [(paper -> PAPER)*];"
+            "PAPER = [title -> TITLE . (author -> AUTHOR)*];"
+            "AUTHOR = [name -> NAME]; NAME = string; TITLE = string"
+        )
+        sizes = [
+            len(random_instance(schema, random.Random(seed), star_bias=0.9))
+            for seed in range(5)
+        ]
+        assert sum(sizes) > 5 * 4  # many content words were sampled
+        assert len(calls) == 5
+
     def test_mandatory_recursion_bottoms_out(self):
         # Depth exhausted but the type demands a child: the rank-guided
         # shortest mode must still finish with a conforming instance.
